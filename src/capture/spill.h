@@ -19,8 +19,7 @@
 // Crash semantics: the header's count/name-table fields are back-patched by
 // finalize(); a file whose name-table offset is still 0 was abandoned
 // mid-write and the reader rejects it (naming the offset) rather than
-// guessing at a record count. Node names are interned in insertion order,
-// matching the KDTR trace format's string table.
+// guessing at a record count. Node names are interned in insertion order.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +38,6 @@ inline constexpr std::uint32_t kSpillVersion = 1;
 inline constexpr std::size_t kSpillHeaderBytes = 64;
 
 /// Fixed-width on-disk flow record (node names live in the name table).
-/// Field-for-field the KDTR BinaryRecord layout, so the two formats stay
-/// mutually convertible without precision loss.
 struct SpillRecord {
   std::uint32_t src_name;
   std::uint32_t dst_name;
@@ -82,7 +79,7 @@ class SpillWriter {
   std::string path_;
   util::MmapArena arena_;
   std::uint64_t count_ = 0;
-  /// Insertion-ordered intern table (ids assigned first-seen, like KDTR).
+  /// Insertion-ordered intern table (ids assigned first-seen).
   std::map<std::string, std::uint32_t> name_ids_;
   std::vector<const std::string*> names_;
   bool finalized_ = false;

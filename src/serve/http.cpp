@@ -82,7 +82,8 @@ LengthStatus content_length(const std::string& headers, std::size_t* out) {
     const auto colon = line.find(':');
     if (colon == std::string::npos) continue;
     if (util::to_lower(util::trim(line.substr(0, colon))) != "content-length") continue;
-    const auto value = util::trim(line.substr(colon + 1));
+    const std::string raw_value = line.substr(colon + 1);  // owns what `value` views
+    const auto value = util::trim(raw_value);
     if (value.empty()) return LengthStatus::kMalformed;
     std::size_t length = 0;
     for (const char c : value) {

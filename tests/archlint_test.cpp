@@ -116,6 +116,17 @@ TEST(ArchlintFixtures, FaninBudgetComesFromLayersJson) {
   EXPECT_EQ(it->second, 2u);
 }
 
+// Naming a directory twice must not scan its files twice: file and module
+// counts, findings, suppressions and the inventory all match one mention.
+TEST(ArchlintFixtures, RepeatedPathScansEachFileOnce) {
+  for (const auto& dir : {std::string(KEDDAH_ARCHLINT_FIXTURES), fixture("fanin_budget")}) {
+    const kl::ArchlintReport once = kl::archlint_paths({dir});
+    const kl::ArchlintReport twice = kl::archlint_paths({dir, dir});
+    EXPECT_GT(once.files_scanned, 0u) << dir;
+    EXPECT_EQ(twice.to_json().dump(), once.to_json().dump()) << dir;
+  }
+}
+
 TEST(ArchlintRules, RuleIdsAreSortedAndStable) {
   const auto& rules = kl::archlint_rule_ids();
   const std::vector<std::string> expected = {

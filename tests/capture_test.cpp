@@ -1,12 +1,14 @@
 // Unit tests for the capture library: port classification, trace filtering
-// and aggregation, CSV round-trips, throughput series, collector options.
+// and aggregation, CSV and binary (KSPL spill) round-trips, throughput
+// series, collector options.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
+#include <stdexcept>
 
 #include "capture/collector.h"
+#include "capture/spill.h"
 #include "capture/trace.h"
 #include "net/network.h"
 
@@ -31,6 +33,17 @@ kc::FlowRecord make_record(std::uint16_t src_port, std::uint16_t dst_port, doubl
   r.end = end;
   r.job_id = job;
   return r;
+}
+
+/// Writes every record of `trace` to a KSPL spill at `path` and reads the
+/// whole file back as a Trace.
+kc::Trace binary_round_trip(const kc::Trace& trace, const std::string& path) {
+  {
+    kc::SpillWriter writer(path);
+    for (std::size_t i = 0; i < trace.size(); ++i) writer.add(trace[i]);
+    writer.finalize();
+  }
+  return kc::SpillReader(path).to_trace();
 }
 
 }  // namespace
@@ -246,9 +259,8 @@ TEST(Trace, BinaryRoundTrip) {
     r.dst = "host" + std::to_string((i + 1) % 5);
     trace.add(r);
   }
-  const std::string path = ::testing::TempDir() + "/keddah_trace.kdtr";
-  trace.save_binary(path);
-  const auto loaded = kc::Trace::load_binary(path);
+  const std::string path = ::testing::TempDir() + "/keddah_trace.kspill";
+  const auto loaded = binary_round_trip(trace, path);
   ASSERT_EQ(loaded.size(), trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(loaded[i].src, trace[i].src);
@@ -267,32 +279,15 @@ TEST(Trace, BinaryRejectsGarbage) {
   const std::string path = ::testing::TempDir() + "/keddah_trace_garbage.bin";
   {
     std::ofstream out(path, std::ios::binary);
-    out << "definitely not a KDTR file";
+    out << "definitely not a KSPL file";
   }
-  EXPECT_THROW(kc::Trace::load_binary(path), std::runtime_error);
-  EXPECT_THROW(kc::Trace::load_binary("/nonexistent/file.kdtr"), std::runtime_error);
+  EXPECT_THROW(kc::SpillReader{path}, std::runtime_error);
+  EXPECT_THROW(kc::SpillReader{"/nonexistent/file.kspill"}, std::runtime_error);
   std::remove(path.c_str());
 }
 
 TEST(Trace, BinaryEmptyTrace) {
-  const std::string path = ::testing::TempDir() + "/keddah_trace_empty.kdtr";
-  kc::Trace().save_binary(path);
-  EXPECT_EQ(kc::Trace::load_binary(path).size(), 0u);
+  const std::string path = ::testing::TempDir() + "/keddah_trace_empty.kspill";
+  EXPECT_EQ(binary_round_trip(kc::Trace(), path).size(), 0u);
   std::remove(path.c_str());
-}
-
-TEST(Trace, BinarySmallerThanCsv) {
-  kc::Trace trace;
-  for (int i = 0; i < 2000; ++i) {
-    trace.add(make_record(kn::ports::kShuffle, 40000, 1234567.0 + i, i * 0.001, i * 0.001 + 0.5));
-  }
-  const std::string csv_path = ::testing::TempDir() + "/keddah_size.csv";
-  const std::string bin_path = ::testing::TempDir() + "/keddah_size.kdtr";
-  trace.save(csv_path);
-  trace.save_binary(bin_path);
-  const auto csv_size = std::filesystem::file_size(csv_path);
-  const auto bin_size = std::filesystem::file_size(bin_path);
-  EXPECT_LT(bin_size, csv_size);
-  std::remove(csv_path.c_str());
-  std::remove(bin_path.c_str());
 }

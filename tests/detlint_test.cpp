@@ -96,6 +96,20 @@ TEST(DetlintFixtures, AllowCommentSuppresses) {
   EXPECT_EQ(report.suppressions_used, 1u);
 }
 
+// Naming a directory twice must not scan its files twice.
+TEST(DetlintFixtures, RepeatedPathScansEachFileOnce) {
+  const std::string dir = KEDDAH_DETLINT_FIXTURES;
+  const kl::DetlintReport once = kl::detlint_paths({dir});
+  const kl::DetlintReport twice = kl::detlint_paths({dir, dir});
+  EXPECT_GT(once.files_scanned, 0u);
+  EXPECT_EQ(twice.files_scanned, once.files_scanned);
+  EXPECT_EQ(twice.suppressions_used, once.suppressions_used);
+  ASSERT_EQ(twice.diagnostics.size(), once.diagnostics.size());
+  for (std::size_t i = 0; i < once.diagnostics.size(); ++i) {
+    EXPECT_EQ(twice.diagnostics[i].to_string(), once.diagnostics[i].to_string());
+  }
+}
+
 // Every fixture's first line declares the rule it seeds (`// expect: <rule>`
 // or `// expect: clean`), so the fixture set stays self-describing and
 // tools/check_static.sh can replay the same contract from the shell.

@@ -315,6 +315,22 @@ TEST(Serve, MalformedHttpGetsTheExactEnvelopeNotASilentClose) {
   server.stop();
 }
 
+TEST(Serve, PaddedContentLengthFramesTheSameBody) {
+  // A header value may carry whitespace on either side of the number; the
+  // padded header must frame the same 12-byte body a tight one does.
+  ks::Server server(ks::ServeOptions{});
+  server.start();
+  const std::string body = R"({"jobs": []})";
+  ASSERT_EQ(body.size(), 12u);
+  const auto padded = http_round_trip(
+      server.port(), "POST /v1/whatif HTTP/1.1\r\nContent-Length:  12 \r\n\r\n" + body);
+  const auto tight = http_post(server.port(), "/v1/whatif", body);
+  EXPECT_EQ(padded.substr(0, padded.find("\r\n")), tight.substr(0, tight.find("\r\n")));
+  EXPECT_EQ(body_of(padded), body_of(tight));
+  EXPECT_EQ(body_of(padded).find("Content-Length"), std::string::npos) << body_of(padded);
+  server.stop();
+}
+
 TEST(Serve, ErrorEnvelopeEscapesHostileText) {
   // A body whose parse error embeds quotes/backslashes must still yield a
   // well-formed JSON envelope (the 500/400 path routes through util::Json).

@@ -110,7 +110,7 @@ TEST(SpillRoundTrip, BitExactIncludingAwkwardDoubles) {
     EXPECT_EQ(got.start, written[i].start);
     EXPECT_EQ(got.end, written[i].end);
   }
-  // Names intern in insertion order, matching the KDTR string table.
+  // Names intern in insertion order.
   const std::vector<std::string> expected_names = {"rack0-h1", "rack3-h7", "rack1-h0", "nn"};
   EXPECT_EQ(reader.names(), expected_names);
   EXPECT_THROW((void)reader.record(written.size()), std::out_of_range);
@@ -118,16 +118,25 @@ TEST(SpillRoundTrip, BitExactIncludingAwkwardDoubles) {
 }
 
 TEST(SpillRoundTrip, ToTraceMatchesRecordOrder) {
-  const std::string path = write_sample("totrace.kspill", 5);
-  kc::SpillReader reader(path);
-  const kc::Trace trace = reader.to_trace();
-  ASSERT_EQ(trace.size(), reader.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ(trace[i].start, reader.record(i).start);
-    EXPECT_EQ(trace[i].bytes, reader.record(i).bytes);
-    EXPECT_EQ(trace[i].src, reader.record(i).src);
+  // Zero records is a capture that saw no flows: it must still finalize
+  // and read back as an empty trace with an empty name table.
+  for (const std::size_t records : {std::size_t{5}, std::size_t{0}}) {
+    SCOPED_TRACE(std::to_string(records) + " records");
+    const std::string path = write_sample("totrace.kspill", records);
+    kc::SpillReader reader(path);
+    EXPECT_EQ(reader.size(), records);
+    EXPECT_EQ(reader.empty(), records == 0);
+    EXPECT_EQ(reader.names().empty(), records == 0);
+    const kc::Trace trace = reader.to_trace();
+    ASSERT_EQ(trace.size(), reader.size());
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      EXPECT_EQ(trace[i].start, reader.record(i).start);
+      EXPECT_EQ(trace[i].bytes, reader.record(i).bytes);
+      EXPECT_EQ(trace[i].src, reader.record(i).src);
+    }
+    EXPECT_THROW((void)reader.record(records), std::out_of_range);
+    fs::remove(path);
   }
-  fs::remove(path);
 }
 
 TEST(SpillRoundTrip, WriterDestructorFinalizes) {
@@ -144,14 +153,24 @@ TEST(SpillRoundTrip, WriterDestructorFinalizes) {
 
 TEST(SpillErrors, TruncatedHeaderNamesByteCounts) {
   const std::string path = scratch("short.kspill");
-  { std::ofstream(path, std::ios::binary) << "KSPL"; }
-  try {
-    kc::SpillReader reader(path);
-    FAIL() << "expected rejection";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("truncated header"), std::string::npos) << e.what();
+  // A bare magic and a short text file are both cut off inside the header.
+  for (const char* contents : {"KSPL", "definitely not a spill file"}) {
+    { std::ofstream(path, std::ios::binary) << contents; }
+    try {
+      kc::SpillReader reader(path);
+      FAIL() << "expected rejection of " << contents;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated header"), std::string::npos) << e.what();
+    }
   }
   fs::remove(path);
+  // No file at all is rejected too, naming the path.
+  try {
+    kc::SpillReader reader(path);
+    FAIL() << "expected rejection of a missing file";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
 }
 
 TEST(SpillErrors, BadMagicNamesOffsetZero) {
