@@ -1,89 +1,49 @@
 #include "api/specs.h"
 
-#include <cmath>
-
 #include "hadoop/config_json.h"
 #include "hadoop/faults.h"
 #include "util/strings.h"
 
 namespace keddah::api {
 
+using util::FieldReader;
+
 namespace {
 
-std::string join_key(const std::string& prefix, const std::string& field) {
-  return prefix.empty() ? field : prefix + "." + field;
+/// Runs `read` over a fresh FieldReader and throws SpecError carrying its
+/// first error.
+template <typename Read>
+auto parse_with(const std::string& file, Read read) {
+  std::vector<util::Diagnostic> diagnostics;
+  FieldReader reader(file, diagnostics);
+  auto result = read(reader);
+  if (const util::Diagnostic* first = reader.first_error()) throw SpecError(*first);
+  return result;
 }
 
-/// Typed field access with SpecError diagnostics. `key` is the path of the
-/// enclosing object; `field` the member being read.
-double number_field(const util::Json& doc, const std::string& field, double fallback,
-                    const std::string& file, const std::string& key) {
-  if (!doc.contains(field)) return fallback;
-  const auto& value = doc.at(field);
-  if (!value.is_number()) throw SpecError(file, join_key(key, field), "must be a number");
-  const double d = value.as_number();
-  if (!std::isfinite(d)) throw SpecError(file, join_key(key, field), "must be finite");
-  return d;
+/// True when `doc` is an object; records the defect otherwise.
+bool check_object(const util::Json& doc, const std::string& key, FieldReader& reader) {
+  if (doc.is_object()) return true;
+  reader.error(key.empty() ? "$" : key, "must be a JSON object");
+  return false;
 }
 
-std::uint64_t count_field(const util::Json& doc, const std::string& field, std::uint64_t fallback,
-                          const std::string& file, const std::string& key) {
-  const double d = number_field(doc, field, static_cast<double>(fallback), file, key);
-  if (d < 0.0) throw SpecError(file, join_key(key, field), "must be >= 0");
-  return static_cast<std::uint64_t>(d);
-}
-
-bool bool_field(const util::Json& doc, const std::string& field, bool fallback,
-                const std::string& file, const std::string& key) {
-  if (!doc.contains(field)) return fallback;
-  const auto& value = doc.at(field);
-  if (!value.is_bool()) throw SpecError(file, join_key(key, field), "must be a boolean");
-  return value.as_bool();
-}
-
-std::string string_field(const util::Json& doc, const std::string& field,
-                         const std::string& fallback, const std::string& file,
-                         const std::string& key) {
-  if (!doc.contains(field)) return fallback;
-  const auto& value = doc.at(field);
-  if (!value.is_string()) throw SpecError(file, join_key(key, field), "must be a string");
-  return value.as_string();
-}
-
-std::uint64_t size_value(const util::Json& value, const std::string& file,
-                         const std::string& key) {
-  if (value.is_number()) {
-    const double d = value.as_number();
-    if (!std::isfinite(d) || d < 0.0) throw SpecError(file, key, "must be a byte size >= 0");
-    return static_cast<std::uint64_t>(d);
-  }
-  if (value.is_string()) {
-    std::uint64_t bytes = 0;
-    if (util::parse_bytes(value.as_string(), &bytes)) return bytes;
-  }
-  throw SpecError(file, key, "must be a byte size (\"128MB\", 4096, ...)");
-}
-
-const util::Json& object_field(const util::Json& doc, const std::string& field,
-                               const std::string& file, const std::string& key) {
+/// The member object `field` of `doc`; an empty object after recording the
+/// defect when it is missing or not an object.
+util::Json object_field(const util::Json& doc, const std::string& field, const std::string& key,
+                        FieldReader& reader) {
+  const std::string path = FieldReader::path(key, field);
   if (!doc.contains(field)) {
-    throw SpecError(file, join_key(key, field), "missing required object");
+    reader.error(path, "missing required object");
+    return util::Json::object();
   }
-  const auto& value = doc.at(field);
-  if (!value.is_object()) throw SpecError(file, join_key(key, field), "must be an object");
-  return value;
-}
-
-void check_object(const util::Json& doc, const std::string& file, const std::string& key) {
-  if (!doc.is_object()) {
-    throw SpecError(file, key.empty() ? "$" : key, "must be a JSON object");
-  }
+  if (!check_object(doc.at(field), path, reader)) return util::Json::object();
+  return doc.at(field);
 }
 
 /// "api" is optional (v1 implied) but, when present, must name a version
 /// this build speaks — a v2 client gets a crisp rejection, not a misparse.
 void check_api_version(const util::Json& doc, const std::string& file) {
-  check_object(doc, file, "");
   if (!doc.contains("api")) return;
   const auto& api = doc.at("api");
   if (!api.is_string() || api.as_string() != kApiVersionString) {
@@ -92,28 +52,43 @@ void check_api_version(const util::Json& doc, const std::string& file) {
   }
 }
 
-hadoop::ClusterConfig parse_cluster_field(const util::Json& doc, const std::string& file) {
+hadoop::ClusterConfig read_cluster_field(const util::Json& doc, FieldReader& reader) {
   if (!doc.contains("cluster")) return hadoop::default_scenario_cluster();
-  return hadoop::parse_cluster_config(doc.at("cluster"), file);
+  return hadoop::read_cluster_config(doc.at("cluster"), "cluster", reader);
 }
 
-gen::Scenario parse_gen_scenario(const util::Json& doc, const std::string& file,
-                                 const std::string& key) {
+gen::Scenario read_gen_scenario(const util::Json& doc, const std::string& key,
+                                FieldReader& reader) {
   gen::Scenario scenario;
-  if (!doc.contains("input")) {
-    throw SpecError(file, join_key(key, "input"), "missing required byte size",
-                    "the job input size drives counts, volumes, and duration");
-  }
   scenario.input_bytes =
-      static_cast<double>(size_value(doc.at("input"), file, join_key(key, "input")));
-  if (scenario.input_bytes <= 0.0) {
-    throw SpecError(file, join_key(key, "input"), "must be > 0");
-  }
-  scenario.num_hosts =
-      static_cast<std::size_t>(count_field(doc, "hosts", scenario.num_hosts, file, key));
-  scenario.num_maps = static_cast<std::size_t>(count_field(doc, "maps", 0, file, key));
-  scenario.num_reducers = static_cast<std::size_t>(count_field(doc, "reducers", 0, file, key));
+      static_cast<double>(reader.bytes(doc, key, "input", 0, /*required=*/true));
+  scenario.num_hosts = reader.count(doc, key, "hosts", scenario.num_hosts);
+  scenario.num_maps = reader.count(doc, key, "maps", 0);
+  scenario.num_reducers = reader.count(doc, key, "reducers", 0);
   return scenario;
+}
+
+core::ReproduceSpec read_reproduce_spec(const util::Json& doc, const std::string& key,
+                                        FieldReader& reader) {
+  core::ReproduceSpec spec;
+  if (!check_object(doc, key, reader)) return spec;
+  spec.scenario = read_gen_scenario(object_field(doc, "scenario", key, reader),
+                                    FieldReader::path(key, "scenario"), reader);
+  spec.seed = reader.count(doc, key, "seed", 1);
+  spec.gen_options.normalize_volume = reader.boolean(doc, key, "normalize_volume", false);
+  spec.spill_dir = reader.string(doc, key, "spill_dir", "");
+  return spec;
+}
+
+core::ValidateSpec read_validate_spec(const util::Json& doc, const std::string& key,
+                                      FieldReader& reader) {
+  core::ValidateSpec spec;
+  if (!check_object(doc, key, reader)) return spec;
+  spec.seed = reader.count(doc, key, "seed", 1);
+  spec.repetitions = reader.count(doc, key, "repetitions", 1, 1, "must be >= 1");
+  spec.threads = reader.count(doc, key, "threads", 0);
+  spec.gen_options.normalize_volume = reader.boolean(doc, key, "normalize_volume", false);
+  return spec;
 }
 
 util::Json gen_scenario_to_json(const gen::Scenario& scenario) {
@@ -141,55 +116,48 @@ util::Json class_stats_json(const capture::Trace& trace) {
 
 }  // namespace
 
-SpecError::SpecError(std::string file, std::string key, std::string message, std::string hint)
-    : std::invalid_argument(file + ": " + key + ": " + message +
-                            (hint.empty() ? "" : " (" + hint + ")")),
-      file_(std::move(file)),
-      key_(std::move(key)),
-      message_(std::move(message)),
-      hint_(std::move(hint)) {}
+SpecError::SpecError(util::Diagnostic diagnostic)
+    : std::invalid_argument(diagnostic.to_string()), diagnostic_(std::move(diagnostic)) {}
 
-util::Json SpecError::to_json() const {
-  util::Json doc = util::Json::object();
-  doc["file"] = util::Json(file_);
-  doc["key"] = util::Json(key_);
-  doc["message"] = util::Json(message_);
-  if (!hint_.empty()) doc["hint"] = util::Json(hint_);
-  return doc;
-}
+SpecError::SpecError(std::string file, std::string key, std::string message, std::string hint)
+    : SpecError(util::Diagnostic{util::Severity::kError, std::move(file), std::move(key),
+                                 std::move(message), std::move(hint)}) {}
 
 // ---------------------------------------------------------------- specs
 
 core::CaptureSpec parse_capture_spec(const util::Json& doc, const std::string& file,
                                      const std::string& key) {
-  check_object(doc, file, key);
-  core::CaptureSpec spec;
-  const std::string workload = string_field(doc, "workload", "sort", file, key);
-  try {
-    spec.workload = workloads::workload_from_name(workload);
-  } catch (const std::invalid_argument& e) {
-    throw SpecError(file, join_key(key, "workload"), e.what());
-  }
-  if (!doc.contains("input_sizes") || !doc.at("input_sizes").is_array() ||
-      doc.at("input_sizes").size() == 0) {
-    throw SpecError(file, join_key(key, "input_sizes"),
-                    "must be a non-empty array of byte sizes");
-  }
-  const auto& sizes = doc.at("input_sizes").as_array();
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    spec.input_sizes.push_back(
-        size_value(sizes[i], file, util::format("%s[%zu]", join_key(key, "input_sizes").c_str(), i)));
-  }
-  spec.repetitions = static_cast<std::size_t>(count_field(doc, "repetitions", 1, file, key));
-  if (spec.repetitions == 0) {
-    throw SpecError(file, join_key(key, "repetitions"), "must be >= 1");
-  }
-  spec.seed = count_field(doc, "seed", 1, file, key);
-  spec.threads = static_cast<std::size_t>(count_field(doc, "threads", 0, file, key));
-  if (doc.contains("faults")) {
-    spec.faults = hadoop::parse_fault_plan(doc.at("faults"), file);
-  }
-  return spec;
+  return parse_with(file, [&](FieldReader& reader) {
+    core::CaptureSpec spec;
+    if (!check_object(doc, key, reader)) return spec;
+    const std::string workload = reader.string(doc, key, "workload", "sort");
+    try {
+      spec.workload = workloads::workload_from_name(workload);
+    } catch (const std::invalid_argument& e) {
+      reader.error(FieldReader::path(key, "workload"), e.what());
+    }
+    const std::string sizes_key = FieldReader::path(key, "input_sizes");
+    if (!doc.contains("input_sizes") || !doc.at("input_sizes").is_array() ||
+        doc.at("input_sizes").size() == 0) {
+      reader.error(sizes_key, "must be a non-empty array of byte sizes");
+    } else {
+      const auto& sizes = doc.at("input_sizes").as_array();
+      for (std::size_t i = 0; i < sizes.size(); ++i) {
+        const auto size =
+            reader.byte_size(sizes[i], util::format("%s[%zu]", sizes_key.c_str(), i),
+                             /*positive=*/false);
+        if (size) spec.input_sizes.push_back(*size);
+      }
+    }
+    spec.repetitions = reader.count(doc, key, "repetitions", 1, 1, "must be >= 1");
+    spec.seed = reader.count(doc, key, "seed", 1);
+    spec.threads = reader.count(doc, key, "threads", 0);
+    if (doc.contains("faults")) {
+      spec.faults = hadoop::read_fault_plan(doc.at("faults"), FieldReader::path(key, "faults"),
+                                            /*num_workers=*/0, /*horizon=*/0.0, reader);
+    }
+    return spec;
+  });
 }
 
 util::Json capture_spec_to_json(const core::CaptureSpec& spec) {
@@ -208,14 +176,9 @@ util::Json capture_spec_to_json(const core::CaptureSpec& spec) {
 
 core::ReproduceSpec parse_reproduce_spec(const util::Json& doc, const std::string& file,
                                          const std::string& key) {
-  check_object(doc, file, key);
-  core::ReproduceSpec spec;
-  spec.scenario =
-      parse_gen_scenario(object_field(doc, "scenario", file, key), file, join_key(key, "scenario"));
-  spec.seed = count_field(doc, "seed", 1, file, key);
-  spec.gen_options.normalize_volume = bool_field(doc, "normalize_volume", false, file, key);
-  spec.spill_dir = string_field(doc, "spill_dir", "", file, key);
-  return spec;
+  return parse_with(file, [&](FieldReader& reader) {
+    return read_reproduce_spec(doc, key, reader);
+  });
 }
 
 util::Json reproduce_spec_to_json(const core::ReproduceSpec& spec) {
@@ -231,16 +194,9 @@ util::Json reproduce_spec_to_json(const core::ReproduceSpec& spec) {
 
 core::ValidateSpec parse_validate_spec(const util::Json& doc, const std::string& file,
                                        const std::string& key) {
-  check_object(doc, file, key);
-  core::ValidateSpec spec;
-  spec.seed = count_field(doc, "seed", 1, file, key);
-  spec.repetitions = static_cast<std::size_t>(count_field(doc, "repetitions", 1, file, key));
-  if (spec.repetitions == 0) {
-    throw SpecError(file, join_key(key, "repetitions"), "must be >= 1");
-  }
-  spec.threads = static_cast<std::size_t>(count_field(doc, "threads", 0, file, key));
-  spec.gen_options.normalize_volume = bool_field(doc, "normalize_volume", false, file, key);
-  return spec;
+  return parse_with(file, [&](FieldReader& reader) {
+    return read_validate_spec(doc, key, reader);
+  });
 }
 
 util::Json validate_spec_to_json(const core::ValidateSpec& spec) {
@@ -254,28 +210,41 @@ util::Json validate_spec_to_json(const core::ValidateSpec& spec) {
 
 // ------------------------------------------------------------- requests
 
+WhatIfRequest read_whatif_request(const util::Json& doc, const std::string& file,
+                                 std::vector<util::Diagnostic>& out) {
+  FieldReader reader(file, out);
+  WhatIfRequest request{core::read_scenario(doc, reader)};
+  if (reader.errors() == 0) check_api_version(doc, file);
+  return request;
+}
+
 WhatIfRequest parse_whatif_request(const util::Json& doc, const std::string& file) {
-  check_api_version(doc, file);
-  WhatIfRequest request;
-  request.scenario = core::parse_scenario(doc, file);
+  std::vector<util::Diagnostic> diagnostics;
+  WhatIfRequest request = read_whatif_request(doc, file, diagnostics);
+  for (auto& d : diagnostics) {
+    if (d.severity == util::Severity::kError) throw SpecError(std::move(d));
+  }
   return request;
 }
 
 ReproduceRequest parse_reproduce_request(const util::Json& doc, const std::string& file) {
   check_api_version(doc, file);
-  ReproduceRequest request;
-  request.model = string_field(doc, "model", "", file, "");
-  if (request.model.empty()) {
-    throw SpecError(file, "model", "missing required model name",
-                    "name a model in the daemon's bank (see /v1/stats for the list)");
-  }
-  request.spec = parse_reproduce_spec(doc, file, "");
-  request.cluster = parse_cluster_field(doc, file);
-  // An absent host count means "every worker of the replay fabric".
-  if (!object_field(doc, "scenario", file, "").contains("hosts")) {
-    request.spec.scenario.num_hosts = request.cluster.num_workers();
-  }
-  return request;
+  return parse_with(file, [&](FieldReader& reader) {
+    ReproduceRequest request;
+    if (!check_object(doc, "", reader)) return request;
+    request.model = reader.string(doc, "", "model", "");
+    if (request.model.empty()) {
+      reader.error("model", "missing required model name",
+                   "name a model in the daemon's bank (see /v1/stats for the list)");
+    }
+    request.spec = read_reproduce_spec(doc, "", reader);
+    request.cluster = read_cluster_field(doc, reader);
+    // An absent host count means "every worker of the replay fabric".
+    if (!doc.contains("scenario") || !doc.at("scenario").contains("hosts")) {
+      request.spec.scenario.num_hosts = request.cluster.num_workers();
+    }
+    return request;
+  });
 }
 
 util::Json reproduce_request_to_json(const ReproduceRequest& request) {
@@ -288,19 +257,20 @@ util::Json reproduce_request_to_json(const ReproduceRequest& request) {
 
 ValidateRequest parse_validate_request(const util::Json& doc, const std::string& file) {
   check_api_version(doc, file);
-  ValidateRequest request;
-  request.model = string_field(doc, "model", "", file, "");
-  if (request.model.empty()) {
-    throw SpecError(file, "model", "missing required model name");
-  }
-  request.run = string_field(doc, "run", "", file, "");
-  if (request.run.empty()) {
-    throw SpecError(file, "run", "missing required run basename",
-                    "a run persisted by `keddah capture` (basename of .csv/.meta.json)");
-  }
-  request.spec = parse_validate_spec(doc, file, "");
-  request.cluster = parse_cluster_field(doc, file);
-  return request;
+  return parse_with(file, [&](FieldReader& reader) {
+    ValidateRequest request;
+    if (!check_object(doc, "", reader)) return request;
+    request.model = reader.string(doc, "", "model", "");
+    if (request.model.empty()) reader.error("model", "missing required model name");
+    request.run = reader.string(doc, "", "run", "");
+    if (request.run.empty()) {
+      reader.error("run", "missing required run basename",
+                   "a run persisted by `keddah capture` (basename of .csv/.meta.json)");
+    }
+    request.spec = read_validate_spec(doc, "", reader);
+    request.cluster = read_cluster_field(doc, reader);
+    return request;
+  });
 }
 
 util::Json validate_request_to_json(const ValidateRequest& request) {

@@ -21,10 +21,12 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "keddah/compare.h"
 #include "keddah/scenario.h"
 #include "keddah/toolchain.h"
+#include "util/diagnostic.h"
 #include "util/json.h"
 
 namespace keddah::api {
@@ -35,25 +37,25 @@ inline constexpr const char* kApiVersionString = "v1";
 
 /// A field-level request defect: which document, which JSON key path, what
 /// is wrong, and (optionally) how to fix it. what() renders the lint-style
-/// line "file: key: message (hint)".
+/// line "file: key: message (hint)". The parsers below read through
+/// util::FieldReader and throw the first defect it records.
 class SpecError : public std::invalid_argument {
  public:
+  explicit SpecError(util::Diagnostic diagnostic);
   SpecError(std::string file, std::string key, std::string message, std::string hint = "");
 
-  const std::string& file() const { return file_; }
-  const std::string& key() const { return key_; }
-  const std::string& message() const { return message_; }
-  const std::string& hint() const { return hint_; }
+  const util::Diagnostic& diagnostic() const { return diagnostic_; }
+  const std::string& file() const { return diagnostic_.file; }
+  const std::string& key() const { return diagnostic_.key; }
+  const std::string& message() const { return diagnostic_.message; }
+  const std::string& hint() const { return diagnostic_.hint; }
 
   /// {"file", "key", "message", "hint"} — the diagnostic object embedded in
-  /// error responses.
-  util::Json to_json() const;
+  /// error responses (util::diagnostic_json).
+  util::Json to_json() const { return util::diagnostic_json(diagnostic_); }
 
  private:
-  std::string file_;
-  std::string key_;
-  std::string message_;
-  std::string hint_;
+  util::Diagnostic diagnostic_;
 };
 
 // ---------------------------------------------------------------- specs
@@ -85,6 +87,13 @@ util::Json validate_spec_to_json(const core::ValidateSpec& spec);
 struct WhatIfRequest {
   core::ScenarioSpec scenario;
 };
+/// Reads a request body, recording every scenario defect in `out` with
+/// core::read_scenario (keddah-lint's rules and wording); the request is
+/// meaningful only when `out` holds no error. A clean scenario with an
+/// unsupported "api" version throws SpecError.
+WhatIfRequest read_whatif_request(const util::Json& doc, const std::string& file,
+                                  std::vector<util::Diagnostic>& out);
+/// read_whatif_request that throws SpecError from the first error.
 WhatIfRequest parse_whatif_request(const util::Json& doc, const std::string& file);
 
 /// /v1/reproduce request: sample `model` for a scenario and replay it on a

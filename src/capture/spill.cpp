@@ -123,22 +123,26 @@ SpillReader::SpillReader(const std::string& path)
         "the writer exited before finalize()");
   }
   count_ = header.record_count;
+  // Bound the untrusted count by what the file can hold before any
+  // arithmetic on it: a crafted count can otherwise wrap count * 56 back
+  // onto the real name-table offset and pass the checks below.
+  const std::uint64_t whole = (file_size - kSpillHeaderBytes) / sizeof(SpillRecord);
+  if (count_ > whole) {
+    // Name the first record that falls off the end of the file.
+    bad(path, util::format("record count %llu at offset 16 runs past the end of the file: "
+                           "truncated record %llu at offset %llu, file ends at offset %zu",
+                           static_cast<unsigned long long>(count_),
+                           static_cast<unsigned long long>(whole),
+                           static_cast<unsigned long long>(kSpillHeaderBytes +
+                                                           whole * sizeof(SpillRecord)),
+                           file_size));
+  }
   const std::uint64_t records_end =
       kSpillHeaderBytes + count_ * static_cast<std::uint64_t>(sizeof(SpillRecord));
   if (header.name_table_offset != records_end) {
     bad(path, util::format("name table at offset %llu but records end at offset %llu",
                            static_cast<unsigned long long>(header.name_table_offset),
                            static_cast<unsigned long long>(records_end)));
-  }
-  if (records_end > file_size) {
-    // Name the first record that falls off the end of the file.
-    const std::uint64_t whole =
-        (file_size - kSpillHeaderBytes) / sizeof(SpillRecord);
-    bad(path, util::format("truncated record %llu at offset %llu: file ends at offset %zu",
-                           static_cast<unsigned long long>(whole),
-                           static_cast<unsigned long long>(kSpillHeaderBytes +
-                                                           whole * sizeof(SpillRecord)),
-                           file_size));
   }
 
   // Name table: u32 count, then length-prefixed strings.
@@ -153,6 +157,12 @@ SpillReader::SpillReader(const std::string& path)
   need(sizeof num_names, "name count");
   std::memcpy(&num_names, arena_.data() + cursor, sizeof num_names);
   cursor += sizeof num_names;
+  // Every name carries at least its u32 length, which bounds the untrusted
+  // count before it sizes an allocation.
+  if (num_names > (file_size - cursor) / sizeof(std::uint32_t)) {
+    bad(path, util::format("name count %u at offset %zu exceeds the %zu bytes left in the file",
+                           num_names, cursor - sizeof num_names, file_size - cursor));
+  }
   names_.reserve(num_names);
   for (std::uint32_t i = 0; i < num_names; ++i) {
     std::uint32_t len = 0;

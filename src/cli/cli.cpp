@@ -74,9 +74,7 @@ hadoop::FaultPlan faults_from_args(const util::Args& args,
                                    const hadoop::ClusterConfig& cfg) {
   const std::string path = args.get("faults", "");
   if (path.empty()) return {};
-  const auto plan = hadoop::parse_fault_plan(util::Json::load_file(path), path);
-  hadoop::validate_fault_plan(plan, cfg.num_workers(), path);
-  return plan;
+  return hadoop::parse_fault_plan(util::Json::load_file(path), path, cfg.num_workers());
 }
 
 int cmd_capture(const util::Args& args, std::ostream& out, std::ostream& err) {

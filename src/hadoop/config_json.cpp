@@ -1,51 +1,12 @@
 #include "hadoop/config_json.h"
 
-#include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "hadoop/faults.h"
 #include "util/strings.h"
 
 namespace keddah::hadoop {
-
-namespace {
-
-[[noreturn]] void fail(const std::string& context, const std::string& key,
-                       const std::string& message) {
-  throw std::invalid_argument(context + ": " + key + ": " + message);
-}
-
-double number_field(const util::Json& doc, const std::string& field, double fallback,
-                    const std::string& context, const std::string& key) {
-  if (!doc.contains(field)) return fallback;
-  const auto& value = doc.at(field);
-  if (!value.is_number()) fail(context, key + "." + field, "must be a number");
-  const double d = value.as_number();
-  if (!std::isfinite(d)) fail(context, key + "." + field, "must be finite");
-  return d;
-}
-
-std::size_t count_field(const util::Json& doc, const std::string& field, std::size_t fallback,
-                        const std::string& context, const std::string& key) {
-  const double d =
-      number_field(doc, field, static_cast<double>(fallback), context, key);
-  if (d < 0.0) fail(context, key + "." + field, "must be >= 0");
-  return static_cast<std::size_t>(d);
-}
-
-std::uint64_t size_field(const util::Json& doc, const std::string& field, std::uint64_t fallback,
-                         const std::string& context, const std::string& key) {
-  if (!doc.contains(field)) return fallback;
-  const auto& value = doc.at(field);
-  if (value.is_number()) return static_cast<std::uint64_t>(value.as_number());
-  if (value.is_string()) {
-    std::uint64_t bytes = 0;
-    if (util::parse_bytes(value.as_string(), &bytes)) return bytes;
-  }
-  fail(context, key + "." + field, "must be a byte size (\"128MB\", 4096, ...)");
-}
-
-}  // namespace
 
 const char* topology_kind_name(TopologyKind kind) {
   switch (kind) {
@@ -74,41 +35,79 @@ ClusterConfig default_scenario_cluster() {
   return cfg;
 }
 
+ClusterConfig read_cluster_config(const util::Json& c, const std::string& key,
+                                  util::FieldReader& reader) {
+  ClusterConfig cfg = default_scenario_cluster();
+  if (!c.is_object()) {
+    reader.error(key, "must be an object");
+    return cfg;
+  }
+  reader.unknown_keys(c, key,
+                      {"topology", "racks", "hosts_per_rack", "fat_tree_k", "access_gbps",
+                       "core_gbps", "block_size", "replication", "containers", "slowstart",
+                       "locality_delay_s", "compress_ratio", "speculative",
+                       "straggler_fraction"});
+  const std::string topo = reader.string(c, key, "topology", "racktree");
+  try {
+    cfg.topology = topology_kind_from_name(topo);
+  } catch (const std::invalid_argument&) {
+    reader.error(key + ".topology", "unknown topology '" + topo + "'",
+                 "one of: star, racktree, fattree");
+  }
+  cfg.racks = reader.count(c, key, "racks", cfg.racks, 1, "must be >= 1");
+  cfg.hosts_per_rack =
+      reader.count(c, key, "hosts_per_rack", cfg.hosts_per_rack, 1, "must be >= 1");
+  cfg.fat_tree_k = reader.count(c, key, "fat_tree_k", cfg.fat_tree_k);
+  if (cfg.topology == TopologyKind::kFatTree && (cfg.fat_tree_k < 2 || cfg.fat_tree_k % 2 != 0)) {
+    reader.error(key + ".fat_tree_k", "fat-tree arity must be an even integer >= 2");
+  }
+  const double access_gbps = reader.number(c, key, "access_gbps", 1.0);
+  if (access_gbps <= 0.0) reader.error(key + ".access_gbps", "access link rate must be > 0");
+  cfg.access_bps = access_gbps * 1e9;
+  const double core_gbps = reader.number(c, key, "core_gbps", 10.0);
+  if (core_gbps <= 0.0) reader.error(key + ".core_gbps", "core link rate must be > 0");
+  cfg.core_bps = core_gbps * 1e9;
+  cfg.block_size = reader.bytes(c, key, "block_size", cfg.block_size);
+  if (cfg.block_size == 0) reader.error(key + ".block_size", "byte size must be > 0");
+  const std::uint64_t replication =
+      reader.count(c, key, "replication", cfg.replication, 1, "replication factor must be >= 1");
+  if (replication > cfg.num_workers()) {
+    reader.error(key + ".replication",
+                 util::format("replication %llu exceeds the cluster size (%zu workers)",
+                              static_cast<unsigned long long>(replication), cfg.num_workers()),
+                 "lower replication or add racks/hosts");
+  } else {
+    cfg.replication = static_cast<std::uint32_t>(replication);
+  }
+  cfg.containers_per_node = reader.count(c, key, "containers", cfg.containers_per_node, 1,
+                                         "containers per node must be >= 1");
+  cfg.slowstart = reader.number(c, key, "slowstart", cfg.slowstart);
+  if (cfg.slowstart < 0.0 || cfg.slowstart > 1.0) {
+    reader.error(key + ".slowstart", "slowstart must be in [0, 1]",
+                 "it is the map-completion fraction that releases reducers");
+  }
+  cfg.locality_delay_s = reader.number(c, key, "locality_delay_s", cfg.locality_delay_s);
+  if (cfg.locality_delay_s < 0.0) reader.error(key + ".locality_delay_s", "must be >= 0");
+  cfg.map_output_compress_ratio =
+      reader.number(c, key, "compress_ratio", cfg.map_output_compress_ratio);
+  if (cfg.map_output_compress_ratio <= 0.0) {
+    reader.error(key + ".compress_ratio", "map-output compression ratio must be > 0");
+  }
+  cfg.straggler_fraction = reader.number(c, key, "straggler_fraction", cfg.straggler_fraction);
+  if (cfg.straggler_fraction < 0.0 || cfg.straggler_fraction > 1.0) {
+    reader.error(key + ".straggler_fraction", "must be in [0, 1]");
+  }
+  cfg.speculative_execution =
+      reader.boolean(c, key, "speculative", cfg.speculative_execution);
+  return cfg;
+}
+
 ClusterConfig parse_cluster_config(const util::Json& cluster, const std::string& context,
                                    const std::string& key) {
-  ClusterConfig cfg = default_scenario_cluster();
-  if (!cluster.is_object()) fail(context, key, "must be an object");
-  if (cluster.contains("topology")) {
-    const auto& topo = cluster.at("topology");
-    if (!topo.is_string()) fail(context, key + ".topology", "must be a string");
-    try {
-      cfg.topology = topology_kind_from_name(topo.as_string());
-    } catch (const std::invalid_argument& e) {
-      fail(context, key + ".topology", e.what());
-    }
-  }
-  cfg.racks = count_field(cluster, "racks", cfg.racks, context, key);
-  cfg.hosts_per_rack = count_field(cluster, "hosts_per_rack", cfg.hosts_per_rack, context, key);
-  cfg.fat_tree_k = count_field(cluster, "fat_tree_k", cfg.fat_tree_k, context, key);
-  cfg.access_bps = number_field(cluster, "access_gbps", 1.0, context, key) * 1e9;
-  cfg.core_bps = number_field(cluster, "core_gbps", 10.0, context, key) * 1e9;
-  cfg.block_size = size_field(cluster, "block_size", cfg.block_size, context, key);
-  cfg.replication = static_cast<std::uint32_t>(
-      count_field(cluster, "replication", cfg.replication, context, key));
-  cfg.containers_per_node =
-      count_field(cluster, "containers", cfg.containers_per_node, context, key);
-  cfg.slowstart = number_field(cluster, "slowstart", cfg.slowstart, context, key);
-  cfg.locality_delay_s =
-      number_field(cluster, "locality_delay_s", cfg.locality_delay_s, context, key);
-  cfg.map_output_compress_ratio =
-      number_field(cluster, "compress_ratio", cfg.map_output_compress_ratio, context, key);
-  cfg.straggler_fraction =
-      number_field(cluster, "straggler_fraction", cfg.straggler_fraction, context, key);
-  if (cluster.contains("speculative")) {
-    const auto& spec = cluster.at("speculative");
-    if (!spec.is_bool()) fail(context, key + ".speculative", "must be a boolean");
-    cfg.speculative_execution = spec.as_bool();
-  }
+  std::vector<util::Diagnostic> diagnostics;
+  util::FieldReader reader(context, diagnostics);
+  const ClusterConfig cfg = read_cluster_config(cluster, key, reader);
+  reader.throw_first_error();
   return cfg;
 }
 

@@ -1,13 +1,15 @@
 // JSON ⇄ ClusterConfig: the one "cluster" object schema shared by scenario
 // files (src/keddah/scenario.h), the versioned Spec API (src/api/specs.h),
-// and the serve daemon's request bodies. Parse errors name the source
-// document and the JSON key path of the offending field, keddah-lint style.
+// and the serve daemon's request bodies. read_cluster_config holds the
+// cluster rules keddah-lint and the parsers share; each defect names the
+// source document and the JSON key path of the offending field.
 #pragma once
 
 #include <string>
 
 #include "hadoop/config.h"
 #include "hadoop/faults.h"
+#include "util/field_reader.h"
 #include "util/json.h"
 
 namespace keddah::hadoop {
@@ -24,10 +26,16 @@ TopologyKind topology_kind_from_name(const std::string& name);
 /// containers/node and a 2 s delay-scheduling hold-out.
 ClusterConfig default_scenario_cluster();
 
-/// Parses a scenario-style "cluster" object on top of
-/// default_scenario_cluster(). Errors read "<context>: <key>.<field>: ...",
-/// where `context` names the source document and `key` the object's path
-/// within it.
+/// Reads a scenario-style "cluster" object at key path `key` on top of
+/// default_scenario_cluster(), recording every defect in `reader`: field
+/// types, link rates, slowstart and straggler fractions in [0, 1], an even
+/// fat-tree arity, a positive block size, and a replication factor no
+/// larger than the cluster.
+ClusterConfig read_cluster_config(const util::Json& cluster, const std::string& key,
+                                  util::FieldReader& reader);
+
+/// read_cluster_config that throws std::invalid_argument with the first
+/// error, "<context>: <key>.<field>: <message> (<hint>)".
 ClusterConfig parse_cluster_config(const util::Json& cluster, const std::string& context,
                                    const std::string& key = "cluster");
 

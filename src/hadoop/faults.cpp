@@ -1,81 +1,14 @@
 #include "hadoop/faults.h"
 
 #include <cmath>
+#include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "util/check.h"
 #include "util/strings.h"
 
 namespace keddah::hadoop {
-
-namespace {
-
-/// "context: faults[i]" prefix shared by every complaint about one event.
-std::string where(const std::string& context, std::size_t index) {
-  return util::format("%s: faults[%zu]", context.c_str(), index);
-}
-
-double finite_number(const util::Json& entry, const std::string& key, double fallback,
-                     const std::string& prefix) {
-  if (!entry.contains(key)) return fallback;
-  const auto& field = entry.at(key);
-  if (!field.is_number()) {
-    throw std::invalid_argument(prefix + "." + key + " must be a number");
-  }
-  const double value = field.as_number();
-  if (!std::isfinite(value)) {
-    throw std::invalid_argument(prefix + "." + key + " must be finite (got NaN/inf)");
-  }
-  return value;
-}
-
-void validate_event(const FaultEvent& event, std::size_t num_workers,
-                    const std::string& prefix) {
-  if (event.worker == 0) {
-    throw std::invalid_argument(prefix +
-                                ".worker must be >= 1 (worker 0 hosts the master)");
-  }
-  if (num_workers != 0 && event.worker >= num_workers) {
-    throw std::invalid_argument(util::format("%s.worker %zu out of range (cluster has %zu workers)",
-                                             prefix.c_str(), event.worker, num_workers));
-  }
-  if (!std::isfinite(event.at) || event.at < 0.0) {
-    throw std::invalid_argument(prefix + ".at must be a finite time >= 0");
-  }
-  if (!std::isfinite(event.duration) || event.duration < 0.0) {
-    throw std::invalid_argument(prefix + ".duration must be a finite time >= 0");
-  }
-  switch (event.kind) {
-    case FaultKind::kCrash:
-      break;  // duration/factor ignored
-    case FaultKind::kOutage:
-      if (event.duration <= 0.0) {
-        throw std::invalid_argument(prefix +
-                                    ".duration must be > 0 for an outage (its recovery time)");
-      }
-      break;
-    case FaultKind::kDegradeLink:
-      if (event.duration <= 0.0) {
-        throw std::invalid_argument(prefix + ".duration must be > 0 for degrade_link");
-      }
-      if (!std::isfinite(event.factor) || event.factor <= 0.0 || event.factor >= 1.0) {
-        throw std::invalid_argument(
-            prefix + ".factor must be in (0, 1) for degrade_link (capacity multiplier)");
-      }
-      break;
-    case FaultKind::kSlowNode:
-      if (event.duration <= 0.0) {
-        throw std::invalid_argument(prefix + ".duration must be > 0 for slow_node");
-      }
-      if (!std::isfinite(event.factor) || event.factor <= 1.0) {
-        throw std::invalid_argument(
-            prefix + ".factor must be > 1 for slow_node (compute slowdown)");
-      }
-      break;
-  }
-}
-
-}  // namespace
 
 const char* fault_kind_name(FaultKind kind) {
   switch (kind) {
@@ -100,50 +33,134 @@ FaultKind fault_kind_from_name(const std::string& name) {
                               "' (want crash|outage|degrade_link|slow_node)");
 }
 
-void validate_fault_plan(const FaultPlan& plan, std::size_t num_workers,
-                         const std::string& context) {
-  for (std::size_t i = 0; i < plan.events.size(); ++i) {
-    validate_event(plan.events[i], num_workers, where(context, i));
+void check_fault_event(const FaultEvent& event, std::size_t num_workers, const std::string& key,
+                       util::FieldReader& reader) {
+  if (event.worker == 0) {
+    reader.error(key + ".worker", "worker 0 co-hosts the master and cannot be faulted",
+                 "fault a worker index >= 1");
+  } else if (num_workers != 0 && event.worker >= num_workers) {
+    reader.error(key + ".worker",
+                 util::format("worker %zu does not exist (cluster has workers 0..%zu)",
+                              event.worker, num_workers - 1),
+                 "use an index below the cluster size or grow the cluster");
+  }
+  if (!std::isfinite(event.at) || event.at < 0.0) {
+    reader.error(key + ".at", "injection time must be >= 0");
+  }
+  if (event.kind == FaultKind::kCrash) {
+    if (!std::isfinite(event.duration) || event.duration < 0.0) {
+      reader.error(key + ".duration", "must be a finite time >= 0");
+    } else if (event.duration != 0.0) {
+      reader.warning(key + ".duration", "crashes are permanent; 'duration' is ignored",
+                     "use kind \"outage\" for a transient failure");
+    }
+    return;
+  }
+  if (!std::isfinite(event.duration) || event.duration <= 0.0) {
+    reader.error(key + ".duration", "transient faults need a window length > 0");
+  }
+  if (event.kind == FaultKind::kDegradeLink && !(event.factor > 0.0 && event.factor < 1.0)) {
+    reader.error(key + ".factor", "degrade_link factor must be in (0, 1)",
+                 "it multiplies the access-link capacity");
+  }
+  if (event.kind == FaultKind::kSlowNode && !(event.factor > 1.0 && std::isfinite(event.factor))) {
+    reader.error(key + ".factor", "slow_node factor must be > 1", "it multiplies compute time");
   }
 }
 
-FaultPlan parse_fault_plan(const util::Json& array, const std::string& context) {
-  if (!array.is_array()) {
-    throw std::invalid_argument(context + ": faults must be an array");
+void validate_fault_plan(const FaultPlan& plan, std::size_t num_workers,
+                         const std::string& context) {
+  std::vector<util::Diagnostic> diagnostics;
+  util::FieldReader reader(context, diagnostics);
+  for (std::size_t i = 0; i < plan.events.size(); ++i) {
+    check_fault_event(plan.events[i], num_workers, util::format("faults[%zu]", i), reader);
   }
+  reader.throw_first_error();
+}
+
+FaultPlan read_fault_plan(const util::Json& array, const std::string& key,
+                          std::size_t num_workers, double horizon, util::FieldReader& reader) {
   FaultPlan plan;
-  for (std::size_t i = 0; i < array.size(); ++i) {
-    const auto& entry = array.at(i);
-    const std::string prefix = where(context, i);
+  if (!array.is_array()) {
+    reader.error(key, key == "$" ? "a fault plan must be a JSON array of events"
+                                 : "must be an array of fault events");
+    return plan;
+  }
+  std::vector<std::size_t> entry_of;  // array index of each event in `plan`
+  std::set<std::string> seen;
+  const auto& entries = array.as_array();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const std::string p = util::format("%s[%zu]", key.c_str(), i);
+    const auto& entry = entries[i];
     if (!entry.is_object()) {
-      throw std::invalid_argument(prefix + " must be an object");
+      reader.error(p, "must be an object");
+      continue;
     }
+    reader.unknown_keys(entry, p, {"kind", "worker", "at", "duration", "factor"});
+    const std::size_t errors = reader.errors();
+    // Entries without "kind" are legacy {"worker", "at"} crash entries.
+    const std::string kind = reader.string(entry, p, "kind", "crash");
+    if (reader.errors() != errors) continue;
     FaultEvent event;
-    if (entry.contains("kind")) {
-      try {
-        event.kind = fault_kind_from_name(entry.at("kind").as_string());
-      } catch (const std::invalid_argument& e) {
-        throw std::invalid_argument(prefix + ".kind: " + e.what());
-      }
-    } else {
-      event.kind = FaultKind::kCrash;  // legacy {"worker", "at"} crash entry
+    try {
+      event.kind = fault_kind_from_name(kind);
+    } catch (const std::invalid_argument&) {
+      reader.error(p + ".kind", "unknown fault kind '" + kind + "'",
+                   "one of: crash, outage, degrade_link, slow_node");
+      continue;
     }
     if (!entry.contains("worker")) {
-      throw std::invalid_argument(prefix + " missing required key 'worker'");
+      reader.error(p + ".worker", "missing required key", "index into the cluster's worker list");
+      continue;
     }
-    const double worker = finite_number(entry, "worker", 0.0, prefix);
-    if (worker < 0.0) {
-      throw std::invalid_argument(prefix + ".worker must be >= 0");
+    event.worker = reader.count(entry, p, "worker", 0);
+    if (reader.errors() != errors) continue;
+    event.at = reader.number(entry, p, "at", 0.0);
+    event.duration = reader.number(entry, p, "duration", 0.0);
+    event.factor = reader.number(entry, p, "factor", 0.0);
+    check_fault_event(event, num_workers, p, reader);
+    if (horizon > 0.0 && event.at + event.duration > horizon) {
+      reader.error(p,
+                   util::format("fault window [%g, %g] extends past the scenario horizon of %g s",
+                                event.at, event.at + event.duration, horizon),
+                   "shorten the window or raise the horizon");
     }
-    event.worker = static_cast<std::size_t>(worker);
-    event.at = finite_number(entry, "at", 0.0, prefix);
-    event.duration = finite_number(entry, "duration", 0.0, prefix);
-    event.factor = finite_number(entry, "factor", 0.0, prefix);
-    // Parameter-range checks happen here too (worker range waits for the
-    // cluster size, passed as 0 = unknown).
-    validate_event(event, /*num_workers=*/0, prefix);
+    if (!seen.insert(util::format("%s w%zu at%g", kind.c_str(), event.worker, event.at)).second) {
+      reader.error(p,
+                   util::format("duplicate fault: %s on worker %zu at %g s already scheduled",
+                                kind.c_str(), event.worker, event.at),
+                   "remove the repeated entry");
+    }
     plan.events.push_back(event);
+    entry_of.push_back(i);
   }
+  // Nothing can be injected into a permanently crashed node: a crash at t
+  // followed by any event on the same worker at a later time never fires
+  // (and a "recovery" the author expected silently does not happen).
+  for (std::size_t j = 0; j < plan.events.size(); ++j) {
+    const FaultEvent& event = plan.events[j];
+    for (std::size_t c = 0; c < plan.events.size(); ++c) {
+      const FaultEvent& crash = plan.events[c];
+      if (c != j && crash.kind == FaultKind::kCrash && crash.worker == event.worker &&
+          crash.at <= event.at) {
+        reader.error(util::format("%s[%zu]", key.c_str(), entry_of[j]),
+                     util::format("worker %zu is permanently crashed by %s[%zu] at %g s; this "
+                                  "event never takes effect",
+                                  event.worker, key.c_str(), entry_of[c], crash.at),
+                     "use kind \"outage\" for a recoverable failure, or retarget the event");
+        break;
+      }
+    }
+  }
+  return plan;
+}
+
+FaultPlan parse_fault_plan(const util::Json& array, const std::string& context,
+                           std::size_t num_workers) {
+  std::vector<util::Diagnostic> diagnostics;
+  util::FieldReader reader(context, diagnostics);
+  FaultPlan plan = read_fault_plan(array, "$", num_workers, /*horizon=*/0.0, reader);
+  reader.throw_first_error();
   return plan;
 }
 

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "util/field_reader.h"
 #include "util/json.h"
 #include "util/units.h"
 
@@ -60,23 +61,38 @@ struct FaultPlan {
   std::size_t size() const { return events.size(); }
 };
 
-/// Validates every event against the cluster size and per-kind parameter
-/// ranges (finite non-negative times, positive windows, sane factors).
-/// `context` names the source (file path, "cli", ...) so the error message
-/// points at the offending file and key. Throws std::invalid_argument.
+/// Records every per-event defect of `event` under key path `key`: worker 0
+/// (the master) and workers at or past `num_workers` (0 = size unknown)
+/// cannot be faulted, injection times are finite and >= 0, transient
+/// faults need a window > 0, and factors lie in their kind's range. A
+/// crash's duration is ignored (a warning when set).
+void check_fault_event(const FaultEvent& event, std::size_t num_workers, const std::string& key,
+                       util::FieldReader& reader);
+
+/// Checks a programmatic plan with check_fault_event (keys "faults[i]") and
+/// throws std::invalid_argument with the first error. `context` names the
+/// source (file path, "fault plan", ...).
 void validate_fault_plan(const FaultPlan& plan, std::size_t num_workers,
                          const std::string& context);
 
-/// Parses a JSON array of fault events:
+/// Reads a JSON array of fault events at key path `key` ("$" for a
+/// standalone plan document):
 ///   [ {"kind": "outage",       "worker": 3, "at": 10.0, "duration": 15.0},
 ///     {"kind": "degrade_link", "worker": 2, "at": 5.0, "duration": 20.0, "factor": 0.1},
 ///     {"kind": "slow_node",    "worker": 1, "at": 0.0, "duration": 30.0, "factor": 4.0},
 ///     {"kind": "crash",        "worker": 5, "at": 12.5} ]
 /// Entries without "kind" are legacy crash entries ({"worker", "at"}).
-/// Field types and per-kind ranges are checked here with `context`-prefixed
-/// messages; worker indices are range-checked by validate_fault_plan once
-/// the cluster size is known.
-FaultPlan parse_fault_plan(const util::Json& array, const std::string& context);
+/// Besides field types and the check_fault_event rules, a document can
+/// break three cross-event rules: a repeated (kind, worker, at) entry, an
+/// event on a worker a crash at or before it already killed, and (when
+/// `horizon` > 0) a window ending past the horizon.
+FaultPlan read_fault_plan(const util::Json& array, const std::string& key,
+                          std::size_t num_workers, double horizon, util::FieldReader& reader);
+
+/// Reads a standalone plan document (keys "$[i]...") and throws
+/// std::invalid_argument with the first error, prefixed by `context`.
+FaultPlan parse_fault_plan(const util::Json& array, const std::string& context,
+                           std::size_t num_workers = 0);
 
 /// Aggregated fault/recovery counters for one cluster run.
 struct FaultStats {

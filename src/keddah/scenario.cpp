@@ -12,60 +12,100 @@ namespace keddah::core {
 
 namespace {
 
-std::uint64_t parse_size_field(const util::Json& doc, const std::string& key,
-                               std::uint64_t fallback, bool required = false) {
-  if (!doc.contains(key)) {
-    if (required) throw std::invalid_argument("scenario: missing required field '" + key + "'");
-    return fallback;
+void read_jobs(const util::Json& doc, double horizon, util::FieldReader& reader,
+               ScenarioSpec& spec) {
+  if (!doc.contains("jobs") || !doc.at("jobs").is_array() || doc.at("jobs").size() == 0) {
+    reader.error("jobs", "a scenario needs a non-empty 'jobs' array",
+                 "add at least one {\"workload\": ..., \"input\": ...} entry");
+    return;
   }
-  const auto& field = doc.at(key);
-  if (field.is_number()) return static_cast<std::uint64_t>(field.as_number());
-  std::uint64_t bytes = 0;
-  if (!util::parse_bytes(field.as_string(), &bytes)) {
-    throw std::invalid_argument("scenario: bad size in '" + key + "'");
+  const auto& jobs = doc.at("jobs").as_array();
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const std::string prefix = util::format("jobs[%zu]", i);
+    const auto& entry = jobs[i];
+    if (!entry.is_object()) {
+      reader.error(prefix, "must be an object");
+      continue;
+    }
+    reader.unknown_keys(entry, prefix,
+                        {"workload", "input", "reducers", "submit_at", "iterations"});
+    ScenarioSpec::JobEntry job;
+    if (!entry.contains("workload") || !entry.at("workload").is_string()) {
+      reader.error(prefix + ".workload", "missing workload name",
+                   "one of the names in workloads::all_workloads()");
+    } else {
+      const std::string& name = entry.at("workload").as_string();
+      try {
+        job.workload = workloads::workload_from_name(name);
+      } catch (const std::invalid_argument&) {
+        std::vector<std::string> names;
+        for (const auto w : workloads::all_workloads()) {
+          names.emplace_back(workloads::workload_name(w));
+        }
+        reader.error(prefix + ".workload", "unknown workload '" + name + "'",
+                     "one of: " + util::join(names, ", "));
+      }
+    }
+    job.input_bytes = reader.bytes(entry, prefix, "input", 0, /*required=*/true);
+    job.num_reducers = reader.count(entry, prefix, "reducers", 0, 0, "must be >= 0 (0 = auto)");
+    job.submit_at = reader.number(entry, prefix, "submit_at", 0.0);
+    if (job.submit_at < 0.0) {
+      reader.error(prefix + ".submit_at", "must be >= 0");
+    } else if (horizon > 0.0 && job.submit_at >= horizon) {
+      reader.error(prefix + ".submit_at",
+                   util::format("submits at %g s, outside the scenario horizon of %g s",
+                                job.submit_at, horizon),
+                   "move the submission before the horizon or raise it");
+    }
+    job.iterations = reader.count(entry, prefix, "iterations", 1, 1, "must be >= 1");
+    spec.jobs.push_back(job);
   }
-  return bytes;
 }
 
 }  // namespace
 
-ScenarioSpec parse_scenario(const util::Json& doc, const std::string& context) {
+ScenarioSpec read_scenario(const util::Json& doc, util::FieldReader& reader) {
   ScenarioSpec spec;
-  spec.cluster = doc.contains("cluster")
-                     ? hadoop::parse_cluster_config(doc.at("cluster"), context)
-                     : hadoop::default_scenario_cluster();
-  spec.seed = static_cast<std::uint64_t>(doc.get_number("seed", 1));
-  spec.threads = static_cast<std::size_t>(doc.get_number("threads", 0));
-  if (!doc.contains("jobs") || doc.at("jobs").size() == 0) {
-    throw std::invalid_argument("scenario: needs a non-empty 'jobs' array");
+  spec.cluster = hadoop::default_scenario_cluster();
+  if (!doc.is_object()) {
+    reader.error("$", "a scenario must be a JSON object");
+    return spec;
   }
-  for (const auto& entry : doc.at("jobs").as_array()) {
-    ScenarioSpec::JobEntry job;
-    if (!entry.contains("workload")) {
-      throw std::invalid_argument("scenario: job missing 'workload'");
-    }
-    job.workload = workloads::workload_from_name(entry.at("workload").as_string());
-    job.input_bytes = parse_size_field(entry, "input", 0, /*required=*/true);
-    if (job.input_bytes == 0) throw std::invalid_argument("scenario: job input must be > 0");
-    job.num_reducers = static_cast<std::size_t>(entry.get_number("reducers", 0));
-    job.submit_at = entry.get_number("submit_at", 0.0);
-    job.iterations = static_cast<std::size_t>(entry.get_number("iterations", 1));
-    if (job.iterations == 0) throw std::invalid_argument("scenario: iterations must be >= 1");
-    spec.jobs.push_back(job);
+  // "api" admits Spec-API request envelopes (api/specs.h): a /v1/whatif
+  // request body is a scenario document optionally tagged with its wire
+  // version.
+  reader.unknown_keys(
+      doc, "", {"api", "seed", "threads", "cluster", "jobs", "faults", "failures", "horizon"});
+  spec.seed = reader.count(doc, "", "seed", spec.seed, 0, "must be >= 0");
+  spec.threads = reader.count(doc, "", "threads", spec.threads, 0, "must be >= 0 (0 = serial)");
+  const double horizon = reader.number(doc, "", "horizon", 0.0);
+  if (doc.contains("horizon") && horizon <= 0.0) {
+    reader.error("horizon", "the scenario horizon must be > 0 seconds");
   }
-  if (doc.contains("faults")) {
-    spec.faults = hadoop::parse_fault_plan(doc.at("faults"), context);
+  // Fault workers are range-checked only against a cluster that read
+  // cleanly; a broken one has no trustworthy size.
+  std::size_t num_workers = spec.cluster.num_workers();
+  if (doc.contains("cluster")) {
+    const std::size_t errors = reader.errors();
+    spec.cluster = hadoop::read_cluster_config(doc.at("cluster"), "cluster", reader);
+    num_workers = reader.errors() == errors ? spec.cluster.num_workers() : 0;
   }
-  if (doc.contains("failures")) {
-    // Legacy alias: each {"worker", "at"} entry is a permanent crash.
-    const hadoop::FaultPlan legacy =
-        hadoop::parse_fault_plan(doc.at("failures"), context + " (failures)");
-    spec.faults.events.insert(spec.faults.events.end(), legacy.events.begin(),
-                              legacy.events.end());
+  read_jobs(doc, horizon, reader, spec);
+  // "failures" is the legacy alias: its entries default to crash faults.
+  for (const char* key : {"faults", "failures"}) {
+    if (!doc.contains(key)) continue;
+    const hadoop::FaultPlan plan =
+        hadoop::read_fault_plan(doc.at(key), key, num_workers, horizon, reader);
+    spec.faults.events.insert(spec.faults.events.end(), plan.events.begin(), plan.events.end());
   }
-  // Range-check worker indices against the cluster described alongside them,
-  // so a bad scenario file fails at parse time with its own name attached.
-  hadoop::validate_fault_plan(spec.faults, spec.cluster.num_workers(), context);
+  return spec;
+}
+
+ScenarioSpec parse_scenario(const util::Json& doc, const std::string& context) {
+  std::vector<util::Diagnostic> diagnostics;
+  util::FieldReader reader(context, diagnostics);
+  ScenarioSpec spec = read_scenario(doc, reader);
+  reader.throw_first_error();
   return spec;
 }
 

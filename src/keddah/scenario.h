@@ -30,6 +30,8 @@
 //         "submit_at": 0.0,
 //         "iterations": 1 }         // > 1 chains output -> input
 //     ],
+//     "horizon": 60.0,               // seconds; jobs must submit and
+//                                    // fault windows end within it
 //     "faults": [                    // scripted fault injections
 //       { "kind": "crash",        "worker": 5, "at": 12.5 },
 //       { "kind": "outage",       "worker": 3, "at": 10.0, "duration": 15.0 },
@@ -49,6 +51,7 @@
 #include "capture/trace.h"
 #include "hadoop/cluster.h"
 #include "hadoop/joblog.h"
+#include "util/field_reader.h"
 #include "util/json.h"
 #include "workloads/profiles.h"
 
@@ -72,7 +75,7 @@ struct ScenarioSpec {
   std::vector<JobEntry> jobs;
 
   /// Scripted faults ("faults" array; legacy "failures" entries become crash
-  /// events). Worker indices are validated against the cluster size at parse
+  /// events). Worker indices are validated against the cluster size at read
   /// time and again when the plan is scheduled.
   hadoop::FaultPlan faults;
 
@@ -84,9 +87,18 @@ struct ScenarioSpec {
   std::string spill_dir;
 };
 
-/// Parses a scenario document; throws std::invalid_argument /
-/// std::runtime_error with a field-specific message on malformed input.
-/// `context` names the source (file path, ...) in those messages.
+/// Reads a scenario document, recording every defect in `reader`: the job
+/// and top-level rules live here, the cluster rules in
+/// hadoop::read_cluster_config and the fault rules in
+/// hadoop::read_fault_plan. keddah-lint, the serve daemon and
+/// parse_scenario all run this one read, so they agree on every document
+/// (the daemon also gates the "api" wire tag). The returned spec is
+/// meaningful only when no error was recorded.
+ScenarioSpec read_scenario(const util::Json& doc, util::FieldReader& reader);
+
+/// read_scenario that throws std::invalid_argument with the first error,
+/// "<context>: <key path>: <message> (<hint>)"; `context` names the source
+/// (file path, ...).
 ScenarioSpec parse_scenario(const util::Json& doc,
                             const std::string& context = "scenario");
 

@@ -674,7 +674,7 @@ ArchlintReport archlint_sources(const std::vector<SourceFile>& sources, const La
       ++report.suppressions_used;
       return true;
     }
-    report.diagnostics.push_back(Diagnostic{
+    report.diagnostics.push_back(util::Diagnostic{
         .file = path, .message = f.message, .hint = f.hint, .line = f.line, .rule = f.rule});
     return true;
   };
@@ -699,7 +699,7 @@ ArchlintReport archlint_sources(const std::vector<SourceFile>& sources, const La
     for (const auto& [line, rules] : src.allows) {
       for (const auto& [rule, justification] : rules) {
         if (!justification.empty()) continue;
-        report.diagnostics.push_back(Diagnostic{
+        report.diagnostics.push_back(util::Diagnostic{
             .file = src.path,
             .message = util::format("archlint:allow(%s) without a justification", rule.c_str()),
             .hint = "write '// archlint:allow(<rule>): <why>'",
@@ -734,7 +734,7 @@ ArchlintReport archlint_sources(const std::vector<SourceFile>& sources, const La
     std::sort(info.deps.begin(), info.deps.end());
   }
   std::sort(report.diagnostics.begin(), report.diagnostics.end(),
-            [](const Diagnostic& a, const Diagnostic& b) {
+            [](const util::Diagnostic& a, const util::Diagnostic& b) {
               return std::tie(a.file, a.line, a.rule) < std::tie(b.file, b.line, b.rule);
             });
   std::sort(report.pointer_heavy.begin(), report.pointer_heavy.end(),

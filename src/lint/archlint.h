@@ -52,7 +52,7 @@
 #include <string>
 #include <vector>
 
-#include "lint/diagnostic.h"
+#include "util/diagnostic.h"
 #include "lint/source_scan.h"
 #include "util/json.h"
 
@@ -117,7 +117,7 @@ struct ModuleInfo {
 
 /// Result of one archlint scan.
 struct ArchlintReport {
-  std::vector<Diagnostic> diagnostics;  ///< sorted by (file, line, rule)
+  std::vector<util::Diagnostic> diagnostics;  ///< sorted by (file, line, rule)
   std::size_t files_scanned = 0;
   std::size_t suppressions_used = 0;
   std::map<std::string, ModuleInfo> modules;

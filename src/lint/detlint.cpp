@@ -7,7 +7,6 @@
 #include <set>
 #include <tuple>
 
-#include "lint/diagnostic.h"
 #include "util/strings.h"
 
 namespace keddah::lint {
@@ -307,7 +306,7 @@ void check_file(const CleanSource& src, const Registry& registry, DetlintReport&
       ++report.suppressions_used;
       continue;
     }
-    report.diagnostics.push_back(Diagnostic{.file = src.path,
+    report.diagnostics.push_back(DetDiagnostic{.file = src.path,
                                             .message = f.message,
                                             .hint = f.hint,
                                             .line = f.line,

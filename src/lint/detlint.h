@@ -40,14 +40,14 @@
 #include <string>
 #include <vector>
 
-#include "lint/diagnostic.h"
+#include "util/diagnostic.h"
 #include "lint/source_scan.h"
 
 namespace keddah::lint {
 
-/// One determinism finding: the shared lint::Diagnostic with `line` + `rule`
+/// One determinism finding: the shared util::Diagnostic with `line` + `rule`
 /// set ("file: line N: [rule] message (hint)" via the one formatter).
-using DetDiagnostic = Diagnostic;
+using DetDiagnostic = util::Diagnostic;
 
 /// Result of one scan.
 struct DetlintReport {

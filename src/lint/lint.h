@@ -1,23 +1,27 @@
 // keddah-lint: static validation of the JSON artifacts the toolchain
 // consumes — scenario files, standalone fault plans, fitted model files, and
-// model banks. The runtime parsers throw on the first malformed field; the
-// linter instead walks the whole document and reports *every* defect, each
-// naming the file, the JSON key path, what is wrong, and how to fix it, so a
-// scenario author can repair a file in one pass without running anything.
+// model banks. Each report lists *every* defect, each naming the file, the
+// JSON key path, what is wrong, and how to fix it, so a scenario author can
+// repair a file in one pass without running anything.
 //
-// The checks encode invariants the simulator depends on (DESIGN.md §"Static
-// checks"): fault plans must reference live workers inside the scenario
-// horizon and must not schedule recovery of a permanently crashed node;
-// fitted ECDFs must be non-decreasing; distribution parameters must be
-// finite and within their family's domain; replication cannot exceed the
-// cluster size.
+// Scenarios and fault plans have no lint-only rules: lint_scenario and
+// lint_fault_plan run the same validating read (util::FieldReader) that
+// core::parse_scenario and hadoop::parse_fault_plan run, and report every
+// diagnostic where the parsers throw the first. A scenario lints without
+// errors exactly when `keddah run-scenario` accepts it, and `keddah serve`
+// too unless its "api" wire tag names another version. The rules
+// live with their schema (DESIGN.md §"Static checks"): cluster rules in
+// hadoop/config_json, fault rules in hadoop/faults, job and top-level rules
+// in keddah/scenario. Model files, which the toolchain writes itself, are
+// checked here: fitted ECDFs must be non-decreasing and distribution
+// parameters finite and within their family's domain.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "lint/diagnostic.h"
+#include "util/diagnostic.h"
 #include "util/json.h"
 
 namespace keddah::lint {
@@ -34,8 +38,10 @@ enum class FileKind : std::uint8_t {
 /// Stable kind name ("scenario", "fault_plan", "model", "model_bank").
 const char* file_kind_name(FileKind kind);
 
-// Diagnostic + Severity live in lint/diagnostic.h, shared with detlint and
-// archlint. keddah-lint findings set the `key` locus (JSON key path).
+// keddah-lint findings set the `key` locus (JSON key path) of the shared
+// util::Diagnostic; the aliases keep the lint-namespaced names callers use.
+using Diagnostic = util::Diagnostic;
+using Severity = util::Severity;
 
 /// Result of linting one document.
 struct LintReport {
@@ -56,7 +62,8 @@ LintReport lint_document(const util::Json& doc, const std::string& file);
 /// duplicate object keys) become diagnostics instead of exceptions.
 LintReport lint_file(const std::string& path);
 
-/// Individual document linters, usable when the kind is known.
+/// Individual document linters, usable when the kind is known. Each appends
+/// to `out` in document order.
 void lint_scenario(const util::Json& doc, const std::string& file,
                    std::vector<Diagnostic>& out);
 void lint_fault_plan(const util::Json& array, const std::string& file,

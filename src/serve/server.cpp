@@ -9,8 +9,8 @@
 #include "api/specs.h"
 #include "keddah/scenario.h"
 #include "keddah/toolchain.h"
-#include "lint/lint.h"
 #include "util/args.h"
+#include "util/diagnostic.h"
 #include "util/strings.h"
 
 namespace keddah::serve {
@@ -67,20 +67,16 @@ util::Json hint_details(const std::string& hint) {
 }
 
 HttpResponse spec_error_response(const api::SpecError& error) {
-  return error_response(api::ErrorCode::kSpecInvalid, error.what(), error.to_json());
+  return error_response(api::ErrorCode::kSpecInvalid, error.what(),
+                        util::diagnostic_json(error.diagnostic()));
 }
 
-/// 400 listing every lint error with its key path, keddah-lint style.
-HttpResponse lint_error_response(const std::vector<lint::Diagnostic>& diagnostics) {
+/// 400 listing every error of a request's validating read with its key
+/// path, keddah-lint style.
+HttpResponse lint_error_response(const std::vector<util::Diagnostic>& diagnostics) {
   util::Json rows = util::Json::array();
   for (const auto& d : diagnostics) {
-    if (d.severity != lint::Severity::kError) continue;
-    util::Json row = util::Json::object();
-    row["file"] = util::Json(d.file);
-    row["key"] = util::Json(d.key);
-    row["message"] = util::Json(d.message);
-    if (!d.hint.empty()) row["hint"] = util::Json(d.hint);
-    rows.push_back(std::move(row));
+    if (d.severity == util::Severity::kError) rows.push_back(util::diagnostic_json(d));
   }
   util::Json details = util::Json::object();
   details["diagnostics"] = std::move(rows);
@@ -88,9 +84,9 @@ HttpResponse lint_error_response(const std::vector<lint::Diagnostic>& diagnostic
                         std::move(details));
 }
 
-bool has_lint_errors(const std::vector<lint::Diagnostic>& diagnostics) {
-  return std::any_of(diagnostics.begin(), diagnostics.end(), [](const lint::Diagnostic& d) {
-    return d.severity == lint::Severity::kError;
+bool has_errors(const std::vector<util::Diagnostic>& diagnostics) {
+  return std::any_of(diagnostics.begin(), diagnostics.end(), [](const util::Diagnostic& d) {
+    return d.severity == util::Severity::kError;
   });
 }
 
@@ -367,11 +363,11 @@ HttpResponse Server::handle_whatif(const HttpRequest& request) {
     return error_response(api::ErrorCode::kBadRequest, e.what(),
                           hint_details("the request body must be a JSON scenario document"));
   }
-  // Lint before running: the linter reports every defective key path in one
-  // pass, where the parser would stop at the first.
-  std::vector<lint::Diagnostic> diagnostics;
-  lint::lint_scenario(doc, "request", diagnostics);
-  if (has_lint_errors(diagnostics)) return lint_error_response(diagnostics);
+  // One validating read: the scenario rules keddah-lint and the CLI run,
+  // reporting every defective key path in one pass.
+  std::vector<util::Diagnostic> diagnostics;
+  const auto whatif = api::read_whatif_request(doc, "request", diagnostics);
+  if (has_errors(diagnostics)) return lint_error_response(diagnostics);
 
   const std::string canonical = doc.dump(-1);
   const std::uint64_t key = cache_key("whatif", canonical, 0);
@@ -382,7 +378,6 @@ HttpResponse Server::handle_whatif(const HttpRequest& request) {
   }
   AdmissionController::Ticket ticket;
   if (auto refused = admit_cold_work(request, &ticket)) return std::move(*refused);
-  const auto whatif = api::parse_whatif_request(doc, "request");
   const auto outcome = core::run_scenario(whatif.scenario);
   const std::string response_body = api::to_body(api::whatif_response(outcome));
   cache_store(key, response_body);

@@ -18,9 +18,11 @@
 // Determinism contract: a /v1/whatif response body is byte-identical to
 // `keddah run-scenario --file X --json` for the same document — both sides
 // are api::to_body(api::whatif_response(core::run_scenario(...))) and the
-// daemon adds no request-dependent state to the body. Request bodies are
-// vetted by keddah-lint before execution, so a malformed scenario gets a
-// 400 naming every defective key path instead of a first-throw message.
+// daemon adds no request-dependent state to the body. The contract covers
+// rejections too: a request body gets one validating read
+// (api::read_whatif_request, the rule set keddah-lint and the CLI share),
+// so a malformed scenario gets a 400 naming every defective key path, and
+// its first diagnostic is the CLI's error line.
 //
 // Caching assumes the daemon's inputs are immutable for its lifetime:
 // model files are hashed once at registration, and /v1/validate run files

@@ -174,50 +174,50 @@ void expect_fault_rejection(const std::string& faults_json, const std::string& n
 
 TEST(ScenarioParse, FaultRejectsUnknownKind) {
   expect_fault_rejection(R"([{ "kind": "meteor", "worker": 1, "at": 0.0 }])",
-                         "unknown kind 'meteor'");
+                         "faults[0].kind: unknown fault kind 'meteor'");
 }
 
 TEST(ScenarioParse, FaultRejectsMasterWorker) {
   expect_fault_rejection(R"([{ "kind": "crash", "worker": 0, "at": 0.0 }])",
-                         "worker 0 hosts the master");
+                         "faults[0].worker: worker 0 co-hosts the master");
 }
 
 TEST(ScenarioParse, FaultRejectsOutOfRangeWorker) {
   // 2 racks x 4 hosts = 8 workers; index 8 is one past the end.
   expect_fault_rejection(R"([{ "kind": "crash", "worker": 8, "at": 0.0 }])",
-                         "out of range (cluster has 8 workers)");
+                         "faults[0].worker: worker 8 does not exist (cluster has workers 0..7)");
 }
 
 TEST(ScenarioParse, FaultRejectsNegativeTime) {
   expect_fault_rejection(R"([{ "kind": "crash", "worker": 1, "at": -2.0 }])",
-                         ".at must be a finite time >= 0");
+                         "faults[0].at: injection time must be >= 0");
 }
 
 TEST(ScenarioParse, FaultRejectsNonNumericTime) {
   expect_fault_rejection(R"([{ "kind": "crash", "worker": 1, "at": "soon" }])",
-                         ".at must be a number");
+                         "faults[0].at: must be a finite number");
 }
 
 TEST(ScenarioParse, FaultRejectsZeroOutageDuration) {
   expect_fault_rejection(R"([{ "kind": "outage", "worker": 1, "at": 0.0 }])",
-                         ".duration must be > 0");
+                         "faults[0].duration: transient faults need a window length > 0");
 }
 
 TEST(ScenarioParse, FaultRejectsBadDegradeFactor) {
   expect_fault_rejection(
       R"([{ "kind": "degrade_link", "worker": 1, "at": 0.0, "duration": 5.0, "factor": 1.5 }])",
-      ".factor must be in (0, 1)");
+      "faults[0].factor: degrade_link factor must be in (0, 1)");
 }
 
 TEST(ScenarioParse, FaultRejectsBadSlowFactor) {
   expect_fault_rejection(
       R"([{ "kind": "slow_node", "worker": 1, "at": 0.0, "duration": 5.0, "factor": 0.5 }])",
-      ".factor must be > 1");
+      "faults[0].factor: slow_node factor must be > 1");
 }
 
 TEST(ScenarioParse, FaultRejectsMissingWorker) {
   expect_fault_rejection(R"([{ "kind": "crash", "at": 1.0 }])",
-                         "missing required key 'worker'");
+                         "faults[0].worker: missing required key");
 }
 
 TEST(ScenarioParse, FaultErrorNamesContextAndIndex) {

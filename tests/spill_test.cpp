@@ -247,6 +247,45 @@ TEST(SpillErrors, TruncatedRecordsNameTheFirstMissingRecord) {
   fs::remove(path);
 }
 
+TEST(SpillErrors, WrappingRecordCountIsRejectedBeforeUse) {
+  const std::string path = write_sample("wrapcount.kspill", 3);
+  // 56 * 2^61 is 0 mod 2^64, so this count multiplies back onto the real
+  // name-table offset; only the file-size bound catches it.
+  const std::uint64_t crafted = 3 + (std::uint64_t{1} << 61);
+  patch(path, 16, &crafted, sizeof crafted);
+  try {
+    kc::SpillReader reader(path);
+    FAIL() << "expected rejection";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("record count 2305843009213693955 at offset 16"), std::string::npos)
+        << what;
+  }
+  fs::remove(path);
+}
+
+TEST(SpillErrors, HugeNameCountIsRejectedNotAllocated) {
+  const std::string path = write_sample("namecount.kspill", 3);
+  std::uint64_t table = 0;
+  {
+    std::ifstream in(path, std::ios::binary);
+    in.seekg(24);
+    in.read(reinterpret_cast<char*>(&table), sizeof table);
+  }
+  const std::uint32_t crafted = 0xFFFFFFFFu;
+  patch(path, static_cast<std::size_t>(table), &crafted, sizeof crafted);
+  try {
+    kc::SpillReader reader(path);
+    FAIL() << "expected rejection";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("name count 4294967295 at offset " + std::to_string(table)),
+              std::string::npos)
+        << what;
+  }
+  fs::remove(path);
+}
+
 TEST(SpillCollector, SpillModeKeepsTraceEmptyAndCountsRecords) {
   const std::string dir = scratch("collector_dir");
   fs::remove_all(dir);

@@ -39,7 +39,8 @@ cmake --build "${BUILD}" \
       --target parallel_test net_network_test fault_injection_test \
                hadoop_faults_test scenario_test invariant_audit_test \
                net_differential_test golden_trace_test net_property_test \
-               spill_test api_test serve_test serve_chaos_test source_scan_test keddah \
+               spill_test api_test serve_test serve_chaos_test source_scan_test \
+               verdict_parity_test scenario_mutation_test keddah \
                perf_scheduler perf_serve perf_scale perf_overload -j"$(nproc)"
 
 # The parallel subsystem, the network layer it drives concurrently, and the
@@ -50,9 +51,12 @@ cmake --build "${BUILD}" \
 # fast path to the reference recompute, and GoldenTrace pins end-to-end
 # scenario output byte-for-byte — both with the KEDDAH_CHECK audits live.
 # SourceScan feeds the linters' lexer real sources and seeded corruptions
-# of them, so any out-of-bounds read in it surfaces here.
+# of them, so any out-of-bounds read in it surfaces here. VerdictParity and
+# ScenarioMutation drive the shared scenario reader with the drift corpus
+# and seeded mutants of it, so a negative-to-unsigned cast or an
+# out-of-bounds read on untrusted JSON surfaces here.
 ctest --test-dir "${BUILD}" --output-on-failure \
-      -R 'ThreadPool|SweepRunner|ParallelDeterminism|DeriveSeed|ResolvedThreads|Network|NodeFailure|TransientOutage|DegradedLink|SlowNode|FaultPlan|Scenario|InvariantAudit|SchedulerDifferential|GoldenTrace|SpecApi|SpecError|Serve|Chaos|Spill|ArenaChurn|SourceScan'
+      -R 'ThreadPool|SweepRunner|ParallelDeterminism|DeriveSeed|ResolvedThreads|Network|NodeFailure|TransientOutage|DegradedLink|SlowNode|FaultPlan|Scenario|InvariantAudit|SchedulerDifferential|GoldenTrace|SpecApi|SpecError|Serve|Chaos|Spill|ArenaChurn|SourceScan|VerdictParity|ScenarioMutation'
 
 # A quick pass of the scheduler benchmark under the sanitizer: exercises
 # the incremental and reference schedulers back to back on all the
