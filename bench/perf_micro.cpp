@@ -48,7 +48,7 @@ void BM_MaxMinFairShare(benchmark::State& state) {
       net.start_flow(src, dst, util::Bytes(1e6 + rng.uniform(0, 1e6)), {}, nullptr);
     }
     sim.run();
-    benchmark::DoNotOptimize(net.recomputations());
+    benchmark::DoNotOptimize(net.scheduler_stats().solves);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

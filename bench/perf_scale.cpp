@@ -28,6 +28,7 @@
 #include "capture/spill.h"
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "util/counters.h"
 #include "util/strings.h"
 #include "workloads/scale.h"
 
@@ -169,50 +170,33 @@ int main(int argc, char** argv) {
   }
   std::printf("\n%zu flows in %.2f s -> %.0f flows/s, peak RSS %.0f MB\n", n_flows, wall_s,
               flows_per_s, rss_mb);
-  std::printf("arena: %zu slots (peak live %zu), %llu slot reuses, pool %zu entries, "
-              "%llu compactions\n",
-              as.slots, as.peak_live, static_cast<unsigned long long>(as.slot_reuses),
-              as.path_pool_len, static_cast<unsigned long long>(as.path_pool_compactions));
-  std::printf("scheduler: %llu reshares, %.1f links/reshare\n",
-              static_cast<unsigned long long>(ss.reshares), ss.links_per_reshare());
+  std::printf("\n%s\n%s", ku::counters_table(as, "arena counter").str().c_str(),
+              ku::counters_table(ss, "scheduler counter").str().c_str());
 
-  std::string gates_json;
-  for (const Gate& g : gates) {
-    if (!gates_json.empty()) gates_json += ",";
-    gates_json += ku::format("\"%s\":%s", g.name, g.passed ? "true" : "false");
-  }
-  const std::string json = ku::format(
-      "{\n"
-      "  \"quick\": %s,\n"
-      "  \"fat_tree_k\": %zu,\n"
-      "  \"oversubscription\": %.1f,\n"
-      "  \"hosts\": %zu,\n"
-      "  \"flows\": %zu,\n"
-      "  \"wall_s\": %.3f,\n"
-      "  \"flows_per_s\": %.1f,\n"
-      "  \"peak_rss_mb\": %.1f,\n"
-      "  \"spill_records\": %llu,\n"
-      "  \"arena\": {\"slots\": %zu, \"peak_live\": %zu, \"slot_reuses\": %llu, "
-      "\"path_pool_len\": %zu, \"compactions\": %llu},\n"
-      "  \"scheduler\": {\"reshares\": %llu, \"solves\": %llu, \"links_per_reshare\": %.3f, "
-      "\"flows_rerated\": %llu},\n"
-      "  \"gates\": {%s},\n"
-      "  \"all_gates_passed\": %s\n"
-      "}\n",
-      quick ? "true" : "false", k, spec.oversubscription, hosts, n_flows, wall_s, flows_per_s,
-      rss_mb, static_cast<unsigned long long>(spill_records), as.slots, as.peak_live,
-      static_cast<unsigned long long>(as.slot_reuses), as.path_pool_len,
-      static_cast<unsigned long long>(as.path_pool_compactions),
-      static_cast<unsigned long long>(ss.reshares), static_cast<unsigned long long>(ss.solves),
-      ss.links_per_reshare(), static_cast<unsigned long long>(ss.flows_rerated),
-      gates_json.c_str(), all_passed ? "true" : "false");
+  ku::Json doc = ku::Json::object();
+  doc["quick"] = ku::Json(quick);
+  doc["fat_tree_k"] = ku::Json(static_cast<std::uint64_t>(k));
+  doc["oversubscription"] = ku::Json(spec.oversubscription);
+  doc["hosts"] = ku::Json(static_cast<std::uint64_t>(hosts));
+  doc["flows"] = ku::Json(static_cast<std::uint64_t>(n_flows));
+  doc["wall_s"] = ku::Json(wall_s);
+  doc["flows_per_s"] = ku::Json(flows_per_s);
+  doc["peak_rss_mb"] = ku::Json(rss_mb);
+  doc["spill_records"] = ku::Json(spill_records);
+  doc["arena"] = ku::counters_json(as);
+  doc["scheduler"] = ku::counters_json(ss);
+  doc["scheduler"]["links_per_reshare"] = ku::Json(ss.links_per_reshare());
+  ku::Json gates_json = ku::Json::object();
+  for (const Gate& g : gates) gates_json[g.name] = ku::Json(g.passed);
+  doc["gates"] = std::move(gates_json);
+  doc["all_gates_passed"] = ku::Json(all_passed);
 
   std::ofstream out(out_path, std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
-  out << json;
+  out << doc.dump(2) << "\n";
   std::printf("wrote %s\n", out_path.c_str());
 
   // The spill file of a full run is ~56 MB of scratch; don't leave it around.

@@ -22,6 +22,7 @@
 
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "util/counters.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -173,25 +174,16 @@ ModeResult run(const std::string& shape, bool reference, double scale) {
   return r;
 }
 
-std::string hist_json(const kn::SchedulerStats& s) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < s.solve_size_hist.size(); ++i) {
-    if (i) out += ",";
-    out += std::to_string(s.solve_size_hist[i]);
-  }
-  return out + "]";
-}
-
-std::string mode_json(const ModeResult& r) {
-  const auto& s = r.stats;
-  return ku::format(
-      R"({"wall_s":%.6f,"flows_per_s":%.1f,"reshares":%llu,"solves":%llu,"empty_reshares":%llu,"links_touched":%llu,"links_per_reshare":%.3f,"flows_visited":%llu,"flows_rerated":%llu,"heap_ops":%llu,"solve_size_hist":%s})",
-      r.wall_s, r.flows_per_s, static_cast<unsigned long long>(s.reshares),
-      static_cast<unsigned long long>(s.solves), static_cast<unsigned long long>(s.empty_reshares),
-      static_cast<unsigned long long>(s.links_touched), s.links_per_reshare(),
-      static_cast<unsigned long long>(s.flows_visited),
-      static_cast<unsigned long long>(s.flows_rerated),
-      static_cast<unsigned long long>(s.heap_ops), hist_json(s).c_str());
+/// The scheduler's counters plus the bench-only extras.
+ku::Json mode_json(const ModeResult& r) {
+  ku::Json doc = ku::counters_json(r.stats);
+  doc["wall_s"] = ku::Json(r.wall_s);
+  doc["flows_per_s"] = ku::Json(r.flows_per_s);
+  doc["links_per_reshare"] = ku::Json(r.stats.links_per_reshare());
+  ku::Json hist = ku::Json::array();
+  for (const std::uint64_t n : r.stats.solve_size_hist) hist.push_back(ku::Json(n));
+  doc["solve_size_hist"] = std::move(hist);
+  return doc;
 }
 
 }  // namespace
@@ -204,56 +196,44 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
   }
 
-  std::printf("%-8s %-12s %10s %12s %14s %12s %10s\n", "shape", "scheduler", "wall_s",
-              "flows/sec", "links/reshare", "re-rated", "heap_ops");
-  std::string json = "{\n";
-  bool first = true;
-  struct ShapeSummary {
-    std::string shape;
-    double link_ratio = 0.0;
-    double speedup = 0.0;
-  };
-  std::vector<ShapeSummary> summaries;
+  // One row per (shape, scheduler) run, counter columns from visit(), then
+  // a rollup of the two headline ratios (reference / incremental).
+  std::vector<std::string> header = {"shape", "scheduler", "wall_s", "flows/sec",
+                                     "links/reshare"};
+  kn::SchedulerStats{}.visit([&](const char* name, const auto&) { header.emplace_back(name); });
+  ku::TextTable runs(header);
+  ku::TextTable rollup({"shape", "links_per_reshare_ratio", "wall_speedup"});
+  ku::Json doc = ku::Json::object();
   for (const std::string shape : {"small", "medium", "mid-mixed", "mid-local", "large"}) {
     ModeResult results[2];
     for (const bool reference : {false, true}) {
       auto& r = results[reference ? 1 : 0];
       r = run(shape, reference, scale);
-      std::printf("%-8s %-12s %10.4f %12.0f %14.2f %12llu %10llu\n", shape.c_str(),
-                  reference ? "reference" : "incremental", r.wall_s, r.flows_per_s,
-                  r.stats.links_per_reshare(),
-                  static_cast<unsigned long long>(r.stats.flows_rerated),
-                  static_cast<unsigned long long>(r.stats.heap_ops));
+      std::vector<std::string> row = {shape, reference ? "reference" : "incremental",
+                                      ku::format("%.4f", r.wall_s),
+                                      ku::format("%.0f", r.flows_per_s),
+                                      ku::format("%.2f", r.stats.links_per_reshare())};
+      r.stats.visit([&](const char*, const auto& v) { row.push_back(std::to_string(v)); });
+      runs.add_row(std::move(row));
     }
     const double link_ratio =
         results[1].stats.links_per_reshare() / results[0].stats.links_per_reshare();
     const double speedup = results[1].wall_s / results[0].wall_s;
-    std::printf("%-8s -> %.2fx fewer links/reshare, %.2fx wall speedup\n\n", shape.c_str(),
-                link_ratio, speedup);
-    if (!first) json += ",\n";
-    first = false;
-    json += ku::format(
-        "  \"%s\": {\n    \"incremental\": %s,\n    \"reference\": %s,\n"
-        "    \"links_per_reshare_ratio\": %.3f,\n    \"wall_speedup\": %.3f\n  }",
-        shape.c_str(), mode_json(results[0]).c_str(), mode_json(results[1]).c_str(), link_ratio,
-        speedup);
-    summaries.push_back({shape, link_ratio, speedup});
+    rollup.add_row({shape, ku::format("%.2fx", link_ratio), ku::format("%.2fx", speedup)});
+    ku::Json& entry = doc[shape];
+    entry["incremental"] = mode_json(results[0]);
+    entry["reference"] = mode_json(results[1]);
+    entry["links_per_reshare_ratio"] = ku::Json(link_ratio);
+    entry["wall_speedup"] = ku::Json(speedup);
   }
-  json += "\n}\n";
-
-  // Per-shape rollup of the two headline ratios (reference / incremental),
-  // so a --quick run ends with the whole comparison in one table.
-  std::printf("%-8s %22s %14s\n", "shape", "links_per_reshare_ratio", "wall_speedup");
-  for (const auto& s : summaries) {
-    std::printf("%-8s %21.2fx %13.2fx\n", s.shape.c_str(), s.link_ratio, s.speedup);
-  }
+  std::printf("%s\n%s", runs.str().c_str(), rollup.str().c_str());
 
   std::ofstream out(out_path, std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
-  out << json;
+  out << doc.dump(2) << "\n";
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

@@ -99,13 +99,11 @@ RunResult run(std::size_t clients, std::size_t requests_per_client, std::size_t 
   }
   std::sort(result.latencies_ms.begin(), result.latencies_ms.end());
 
-  const auto stats =
-      ku::Json::parse(server.handle(ks::HttpRequest{"GET", "/v1/stats", ""}).body);
+  const auto stats = server.stats();
   // Subtract the warm-up request's miss so the reported rate reflects the
   // timed window only.
-  result.cache_hits = static_cast<std::uint64_t>(stats.at("cache").at("hits").as_int());
-  result.cache_misses =
-      static_cast<std::uint64_t>(stats.at("cache").at("misses").as_int()) - 1;
+  result.cache_hits = stats.cache_hits;
+  result.cache_misses = stats.cache_misses - 1;
   return result;
 }
 

@@ -42,8 +42,8 @@ Row run(const keddah::hadoop::ClusterConfig& cfg, double fail_at, std::uint64_t 
   }
   row.duration = result.duration();
   row.failed_attempts = cluster.runner().failed_attempts();
-  row.map_reruns = cluster.runner().map_reruns();
-  row.reducer_restarts = cluster.runner().reducer_restarts();
+  row.map_reruns = cluster.fault_stats().map_reruns;
+  row.reducer_restarts = cluster.fault_stats().reducer_restarts;
   return row;
 }
 

@@ -2,6 +2,7 @@
 
 #include "hadoop/config_json.h"
 #include "hadoop/faults.h"
+#include "util/counters.h"
 #include "util/strings.h"
 
 namespace keddah::api {
@@ -312,36 +313,11 @@ util::Json whatif_response(const core::ScenarioOutcome& outcome) {
   trace["classes"] = class_stats_json(outcome.trace);
   doc["trace"] = std::move(trace);
 
-  doc["rereplications"] = util::Json(static_cast<std::uint64_t>(outcome.rereplications));
-
-  const auto& f = outcome.faults;
-  util::Json faults = util::Json::object();
-  faults["crashes"] = util::Json(f.crashes);
-  faults["outages"] = util::Json(f.outages);
-  faults["link_degradations"] = util::Json(f.link_degradations);
-  faults["slow_nodes"] = util::Json(f.slow_nodes);
-  faults["aborted_flows"] = util::Json(f.aborted_flows);
-  faults["aborted_bytes"] = util::Json(f.aborted_bytes.value());
-  faults["fetch_retries"] = util::Json(f.fetch_retries);
-  faults["fetch_backoff_s"] = util::Json(f.fetch_backoff_s);
-  faults["fetch_failure_reruns"] = util::Json(f.fetch_failure_reruns);
-  faults["map_reruns"] = util::Json(f.map_reruns);
-  faults["reducer_restarts"] = util::Json(f.reducer_restarts);
-  faults["pipeline_rebuilds"] = util::Json(f.pipeline_rebuilds);
-  faults["hdfs_read_retries"] = util::Json(f.hdfs_read_retries);
-  faults["rereplications"] = util::Json(f.rereplications);
-  doc["faults"] = std::move(faults);
-
-  const auto& s = outcome.scheduler;
-  util::Json scheduler = util::Json::object();
-  scheduler["reshares"] = util::Json(s.reshares);
-  scheduler["solves"] = util::Json(s.solves);
-  scheduler["empty_reshares"] = util::Json(s.empty_reshares);
-  scheduler["links_touched"] = util::Json(s.links_touched);
-  scheduler["flows_visited"] = util::Json(s.flows_visited);
-  scheduler["flows_rerated"] = util::Json(s.flows_rerated);
-  scheduler["heap_ops"] = util::Json(s.heap_ops);
-  doc["scheduler"] = std::move(scheduler);
+  // Kept at the top level for existing readers; the same number as
+  // faults.rereplications.
+  doc["rereplications"] = util::Json(outcome.faults.rereplications);
+  doc["faults"] = util::counters_json(outcome.faults);
+  doc["scheduler"] = util::counters_json(outcome.scheduler);
   return doc;
 }
 

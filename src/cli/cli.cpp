@@ -20,6 +20,7 @@
 #include "stats/fitting.h"
 #include "stats/summary.h"
 #include "util/args.h"
+#include "util/counters.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -379,32 +380,13 @@ void print_scenario_outcome(const core::ScenarioOutcome& outcome, std::ostream& 
         << util::human_bytes(stats[static_cast<std::size_t>(net::FlowKind::kHdfsWrite)].bytes)
         << ")";
   }
-  if (outcome.rereplications > 0) {
-    out << "; " << outcome.rereplications << " re-replication transfers";
+  out << "\n";
+  if (outcome.faults.injections() > 0) {
+    out << "\n";
+    util::counters_table(outcome.faults, "fault counter").print(out);
   }
   out << "\n";
-  const auto& f = outcome.faults;
-  if (f.crashes + f.outages + f.link_degradations + f.slow_nodes > 0) {
-    out << "\nfault injections: " << f.crashes << " crashes, " << f.outages << " outages, "
-        << f.link_degradations << " link degradations, " << f.slow_nodes << " slow nodes\n";
-    util::TextTable recovery({"recovery metric", "value"});
-    recovery.add_row({"aborted flows", std::to_string(f.aborted_flows)});
-    recovery.add_row({"aborted bytes", util::human_bytes(f.aborted_bytes.value())});
-    recovery.add_row({"fetch retries", std::to_string(f.fetch_retries)});
-    recovery.add_row({"fetch backoff", util::human_seconds(f.fetch_backoff_s)});
-    recovery.add_row({"fetch-failure reruns", std::to_string(f.fetch_failure_reruns)});
-    recovery.add_row({"map reruns", std::to_string(f.map_reruns)});
-    recovery.add_row({"reducer restarts", std::to_string(f.reducer_restarts)});
-    recovery.add_row({"pipeline rebuilds", std::to_string(f.pipeline_rebuilds)});
-    recovery.add_row({"hdfs read retries", std::to_string(f.hdfs_read_retries)});
-    recovery.add_row({"re-replications", std::to_string(f.rereplications)});
-    recovery.print(out);
-  }
-  const auto& s = outcome.scheduler;
-  out << "\nscheduler: " << s.reshares << " reshares (" << s.solves << " solves, "
-      << s.empty_reshares << " no-ops), " << util::format("%.1f", s.links_per_reshare())
-      << " links/reshare, " << s.flows_rerated << "/" << s.flows_visited
-      << " flows re-rated, " << s.heap_ops << " heap ops\n";
+  util::counters_table(outcome.scheduler, "scheduler counter").print(out);
 }
 
 int cmd_run_scenario(const util::Args& args, std::ostream& out, std::ostream& err) {

@@ -20,12 +20,13 @@ HadoopCluster::HadoopCluster(const ClusterConfig& config, std::uint64_t seed,
   if (workers_.empty()) throw std::invalid_argument("cluster: topology has no hosts");
 
   collector_ = std::make_unique<capture::FlowCollector>(*network_, capture_options);
-  hdfs_ = std::make_unique<HdfsCluster>(*network_, workers_, config_, rng_.split());
+  hdfs_ = std::make_unique<HdfsCluster>(*network_, workers_, config_, rng_.split(), faults_);
   scheduler_ = std::make_unique<YarnScheduler>(sim_, network_->topology(), workers_,
                                                config_.containers_per_node,
                                                config_.locality_scheduling,
                                                config_.locality_delay_s);
-  runner_ = std::make_unique<JobRunner>(*network_, *hdfs_, *scheduler_, config_, rng_.split());
+  runner_ = std::make_unique<JobRunner>(*network_, *hdfs_, *scheduler_, config_, rng_.split(),
+                                        faults_);
   runner_->set_history_log(&history_);
   control_ = std::make_unique<ControlPlane>(*network_, workers_, master(), config_, rng_.split());
 }
@@ -75,7 +76,7 @@ bool HadoopCluster::take_node_down(net::NodeId node, bool permanent) {
 void HadoopCluster::fail_node(net::NodeId node) {
   if (take_node_down(node, /*permanent=*/true)) {
     crashed_.insert(node);
-    ++injected_.crashes;
+    ++faults_.crashes;
     return;
   }
   // Already down. If that was only a transient outage, the crash escalates
@@ -84,7 +85,7 @@ void HadoopCluster::fail_node(net::NodeId node) {
   if (crashed_.insert(node).second) {
     hdfs_->handle_datanode_failure(node);
     runner_->handle_node_failure(node);
-    ++injected_.crashes;
+    ++faults_.crashes;
   }
 }
 
@@ -97,7 +98,7 @@ void HadoopCluster::fail_node_transient(net::NodeId node, double duration) {
     throw std::invalid_argument("cluster: outage duration must be > 0");
   }
   if (!take_node_down(node, /*permanent=*/false)) return;
-  ++injected_.outages;
+  ++faults_.outages;
   sim_.schedule_in(duration, [this, node] { recover_node(node); });
 }
 
@@ -131,7 +132,7 @@ void HadoopCluster::degrade_link(net::NodeId node, double factor, double duratio
   KLOG_INFO << "degrading access link of " << network_->topology().node(node).name
             << " to " << factor << "x at t=" << sim_.now();
   network_->set_link_capacity(link, it->second * factor);
-  ++injected_.link_degradations;
+  ++faults_.link_degradations;
   sim_.schedule_in(duration, [this, link] { restore_link(link); });
 }
 
@@ -150,7 +151,7 @@ void HadoopCluster::slow_node(net::NodeId node, double factor, double duration) 
     throw std::invalid_argument("cluster: slow-node duration must be > 0");
   }
   runner_->set_node_slowdown(node, factor);
-  ++injected_.slow_nodes;
+  ++faults_.slow_nodes;
   sim_.schedule_in(duration, [this, node] { runner_->set_node_slowdown(node, 1.0); });
 }
 
@@ -182,17 +183,9 @@ void HadoopCluster::schedule_fault_plan(const FaultPlan& plan) {
 }
 
 FaultStats HadoopCluster::fault_stats() const {
-  FaultStats stats = injected_;
+  FaultStats stats = faults_;
   stats.aborted_flows = network_->aborted_flows();
   stats.aborted_bytes = network_->aborted_bytes();
-  stats.fetch_retries = runner_->fetch_retries();
-  stats.fetch_backoff_s = runner_->fetch_backoff_s();
-  stats.fetch_failure_reruns = runner_->fetch_failure_reruns();
-  stats.map_reruns = runner_->map_reruns();
-  stats.reducer_restarts = runner_->reducer_restarts();
-  stats.pipeline_rebuilds = hdfs_->pipeline_rebuilds();
-  stats.hdfs_read_retries = hdfs_->read_retries();
-  stats.rereplications = hdfs_->rereplications();
   if constexpr (util::kAuditEnabled) audit_fault_stats(stats);
   return stats;
 }

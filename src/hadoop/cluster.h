@@ -111,8 +111,8 @@ class HadoopCluster {
   /// std::invalid_argument on out-of-range or master (index 0) targets.
   void schedule_fault_plan(const FaultPlan& plan);
 
-  /// Snapshot of injected faults and the recovery work they caused, merged
-  /// from the network, HDFS, and job-runner counters.
+  /// Snapshot of injected faults and the recovery work they caused: the
+  /// cluster's ledger plus the network's aborted-flow totals.
   FaultStats fault_stats() const;
 
  private:
@@ -121,6 +121,9 @@ class HadoopCluster {
   bool take_node_down(net::NodeId node, bool permanent);
   void restore_link(net::LinkId link);
   ClusterConfig config_;
+  /// The fault ledger, shared by reference with HDFS and the job runner
+  /// (so declared before them). Aborted flows/bytes come from the network.
+  FaultStats faults_;
   sim::Simulator sim_;
   std::unique_ptr<net::Network> network_;
   std::vector<net::NodeId> workers_;
@@ -131,8 +134,6 @@ class HadoopCluster {
   std::unique_ptr<ControlPlane> control_;
   JobHistoryLog history_;
   util::Rng rng_;
-  /// Injection counters (recovery counters live in the subsystems).
-  FaultStats injected_;
   /// Nominal capacity of links currently degraded, for restore_link.
   std::unordered_map<net::LinkId, util::Rate> degraded_links_;
   /// Permanently crashed nodes; a pending outage recovery must not revive

@@ -165,8 +165,6 @@ FaultPlan parse_fault_plan(const util::Json& array, const std::string& context,
 }
 
 void audit_fault_stats(const FaultStats& stats) {
-  const std::uint64_t injections =
-      stats.crashes + stats.outages + stats.link_degradations + stats.slow_nodes;
   if (stats.aborted_bytes.value() > 0.0 && stats.aborted_flows == 0) {
     throw util::AuditError("fault stats: aborted bytes without any aborted flow");
   }
@@ -174,7 +172,7 @@ void audit_fault_stats(const FaultStats& stats) {
     throw util::AuditError("fault stats: fetch backoff must be finite and >= 0, got " +
                            std::to_string(stats.fetch_backoff_s));
   }
-  if (injections == 0) {
+  if (stats.injections() == 0) {
     // Recovery work can only be caused by an injected fault; a clean run
     // must report an all-zero recovery ledger.
     if (stats.aborted_flows != 0 || stats.fetch_retries != 0 ||

@@ -112,6 +112,27 @@ struct FaultStats {
   std::uint64_t pipeline_rebuilds = 0;
   std::uint64_t hdfs_read_retries = 0;
   std::uint64_t rereplications = 0;
+
+  /// Faults injected (crashes + outages + link degradations + slow nodes).
+  std::uint64_t injections() const { return crashes + outages + link_degradations + slow_nodes; }
+
+  template <typename Fn>
+  void visit(Fn&& fn) const {
+    fn("crashes", crashes);
+    fn("outages", outages);
+    fn("link_degradations", link_degradations);
+    fn("slow_nodes", slow_nodes);
+    fn("aborted_flows", aborted_flows);
+    fn("aborted_bytes", aborted_bytes);
+    fn("fetch_retries", fetch_retries);
+    fn("fetch_backoff_s", fetch_backoff_s);
+    fn("fetch_failure_reruns", fetch_failure_reruns);
+    fn("map_reruns", map_reruns);
+    fn("reducer_restarts", reducer_restarts);
+    fn("pipeline_rebuilds", pipeline_rebuilds);
+    fn("hdfs_read_retries", hdfs_read_retries);
+    fn("rereplications", rereplications);
+  }
 };
 
 /// Audits internal consistency of aggregated fault counters: aborted bytes

@@ -22,8 +22,12 @@ net::Topology ClusterConfig::build_topology() const {
 }
 
 HdfsCluster::HdfsCluster(net::Network& network, std::vector<net::NodeId> datanodes,
-                         const ClusterConfig& config, util::Rng rng)
-    : network_(network), datanodes_(std::move(datanodes)), config_(config), rng_(rng) {
+                         const ClusterConfig& config, util::Rng rng, FaultStats& faults)
+    : network_(network),
+      datanodes_(std::move(datanodes)),
+      config_(config),
+      rng_(rng),
+      faults_(faults) {
   if (datanodes_.empty()) throw std::invalid_argument("hdfs: need at least one datanode");
 }
 
@@ -247,7 +251,7 @@ void HdfsCluster::on_pipeline_stage_done(const std::shared_ptr<WriteState>& stat
     finish_pipeline_stage(state, block_index);
     return;
   }
-  ++pipeline_rebuilds_;
+  ++faults_.pipeline_rebuilds;
   ++pipeline_rebuilds_by_job_[state->job_id];
   start_pipeline_stage(state, block_index, source, target);
 }
@@ -278,7 +282,7 @@ void HdfsCluster::read_block(FileId file, std::size_t block_index, net::NodeId r
     if (network_.node_up(r)) alive.push_back(r);
   }
   if (alive.empty()) {
-    ++read_retries_;
+    ++faults_.hdfs_read_retries;
     network_.simulator().schedule_in(
         config_.hdfs_read_retry_s,
         [this, file, block_index, reader, job_id, cb = std::move(on_complete)]() mutable {
@@ -323,7 +327,7 @@ void HdfsCluster::read_block(FileId file, std::size_t block_index, net::NodeId r
                           // replica after the client retry window. (The
                           // partial bytes stay on the wire, as captured.)
                           if (!network_.node_up(reader)) return;
-                          ++read_retries_;
+                          ++faults_.hdfs_read_retries;
                           network_.simulator().schedule_in(
                               config_.hdfs_read_retry_s,
                               [this, file, block_index, reader, job_id,
@@ -359,9 +363,9 @@ std::size_t HdfsCluster::handle_datanode_failure(net::NodeId node) {
         ++lost_blocks_;
         continue;
       }
-      const std::size_t before = rereplications_;
+      const std::uint64_t before = faults_.rereplications;
       start_rereplication(&block);
-      if (rereplications_ > before) ++transfers;
+      if (faults_.rereplications > before) ++transfers;
     }
   }
   return transfers;
@@ -396,7 +400,7 @@ void HdfsCluster::start_rereplication(BlockInfo* block) {
                         block->replicas.push_back(target);
                       },
                       util::Rate::bps(config_.disk_write_bps));
-  ++rereplications_;
+  ++faults_.rereplications;
 }
 
 std::uint64_t HdfsCluster::pipeline_rebuilds(std::uint32_t job_id) const {

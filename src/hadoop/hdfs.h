@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "hadoop/config.h"
+#include "hadoop/faults.h"
 #include "net/network.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -47,8 +48,9 @@ struct FileInfo {
 class HdfsCluster {
  public:
   /// `datanodes` are the hosts running DataNodes (normally all workers).
+  /// Recovery work is counted in place in `faults` (must outlive).
   HdfsCluster(net::Network& network, std::vector<net::NodeId> datanodes,
-              const ClusterConfig& config, util::Rng rng);
+              const ClusterConfig& config, util::Rng rng, FaultStats& faults);
 
   /// Registers a pre-existing file: places blocks with the standard policy
   /// but generates NO traffic (job input is loaded before capture starts,
@@ -92,17 +94,9 @@ class HdfsCluster {
   /// Blocks with zero surviving replicas (data loss) since construction.
   std::size_t lost_blocks() const { return lost_blocks_; }
 
-  /// Re-replication transfers started since construction.
-  std::size_t rereplications() const { return rereplications_; }
-
-  /// Write pipelines rebuilt with a replacement DataNode after losing an
-  /// endpoint mid-block, total and per job.
-  std::uint64_t pipeline_rebuilds() const { return pipeline_rebuilds_; }
+  /// Write pipelines of one job rebuilt with a replacement DataNode after
+  /// losing an endpoint mid-block (the total is FaultStats::pipeline_rebuilds).
   std::uint64_t pipeline_rebuilds(std::uint32_t job_id) const;
-
-  /// Block reads retried because a source DataNode was down or died
-  /// mid-transfer.
-  std::uint64_t read_retries() const { return read_retries_; }
 
   /// Stored bytes per DataNode (sum of replica sizes it holds). Ordered
   /// so callers that iterate (balancer, reports) see a stable order.
@@ -173,9 +167,7 @@ class HdfsCluster {
   std::unordered_map<std::string, FileId> by_name_;
   FileId next_file_id_{1};
   std::size_t lost_blocks_ = 0;
-  std::size_t rereplications_ = 0;
-  std::uint64_t pipeline_rebuilds_ = 0;
-  std::uint64_t read_retries_ = 0;
+  FaultStats& faults_;
   std::unordered_map<std::uint32_t, std::uint64_t> pipeline_rebuilds_by_job_;
   /// Blocks with an active write pipeline: their recovery belongs to the
   /// pipeline rebuild path, so handle_datanode_failure leaves them alone.

@@ -109,8 +109,13 @@ struct JobRunner::Execution {
 };
 
 JobRunner::JobRunner(net::Network& network, HdfsCluster& hdfs, YarnScheduler& scheduler,
-                     const ClusterConfig& config, util::Rng rng)
-    : network_(network), hdfs_(hdfs), scheduler_(scheduler), config_(config), rng_(rng) {}
+                     const ClusterConfig& config, util::Rng rng, FaultStats& faults)
+    : network_(network),
+      hdfs_(hdfs),
+      scheduler_(scheduler),
+      config_(config),
+      rng_(rng),
+      faults_(faults) {}
 
 void JobRunner::log_event(double time, std::uint32_t job_id, TaskEvent::Kind kind,
                           net::NodeId node, std::uint32_t task_index) {
@@ -437,9 +442,9 @@ void JobRunner::on_fetch_failed(const ExecPtr& exec, std::size_t reducer_index,
     ms.done = false;
     ms.host = net::kInvalidNode;
     --exec->completed_maps;
-    ++fetch_failure_reruns_;
+    ++faults_.fetch_failure_reruns;
     ++exec->result.fetch_failure_reruns;
-    ++map_reruns_;
+    ++faults_.map_reruns;
     ++exec->result.map_reruns;
     KLOG_DEBUG << "job " << exec->result.job_id << ": fetch failures exhausted, rerunning map "
                << map_index;
@@ -452,9 +457,9 @@ void JobRunner::on_fetch_failed(const ExecPtr& exec, std::size_t reducer_index,
   const std::uint32_t tries = red.retry_counts[map_index]++;
   const double backoff = std::min(config_.fetch_retry_initial_s * std::pow(2.0, tries),
                                   config_.fetch_retry_cap_s);
-  ++fetch_retries_;
+  ++faults_.fetch_retries;
   ++exec->result.fetch_retries;
-  fetch_backoff_s_ += backoff;
+  faults_.fetch_backoff_s += backoff;
   exec->result.fetch_backoff_s += backoff;
   const std::uint32_t generation = red.generation;
   network_.simulator().schedule_in(backoff, [this, exec, reducer_index, map_index, generation] {
@@ -551,7 +556,7 @@ void JobRunner::handle_node_event(net::NodeId node, bool outputs_lost) {
       auto& ms = exec->maps[m];
       if (ms.done || ms.pending_requests > 0) continue;
       if (exec->valid_attempts_for(m) == 0 && ms.attempts_started > 0) {
-        ++map_reruns_;
+        ++faults_.map_reruns;
         ++exec->result.map_reruns;
         launch_map_attempt(exec, m);
       }
@@ -567,7 +572,7 @@ void JobRunner::handle_node_event(net::NodeId node, bool outputs_lost) {
         ms.host = net::kInvalidNode;
         ms.fetch_failures = 0;
         --exec->completed_maps;
-        ++map_reruns_;
+        ++faults_.map_reruns;
         ++exec->result.map_reruns;
         launch_map_attempt(exec, m);
       }
@@ -584,7 +589,7 @@ void JobRunner::handle_node_event(net::NodeId node, bool outputs_lost) {
       red.fetched = 0;
       red.shuffle_bytes = 0.0;
       red.pending.clear();
-      ++reducer_restarts_;
+      ++faults_.reducer_restarts;
       ++exec->result.reducer_restarts;
       request_reducer(exec, r, red.generation);
     }

@@ -37,8 +37,9 @@ class JobRunner {
  public:
   using JobCallback = std::function<void(const JobResult&)>;
 
+  /// Recovery work is counted in place in `faults` (must outlive).
   JobRunner(net::Network& network, HdfsCluster& hdfs, YarnScheduler& scheduler,
-            const ClusterConfig& config, util::Rng rng);
+            const ClusterConfig& config, util::Rng rng, FaultStats& faults);
 
   JobRunner(const JobRunner&) = delete;
   JobRunner& operator=(const JobRunner&) = delete;
@@ -70,16 +71,6 @@ class JobRunner {
   std::uint64_t speculative_attempts() const { return speculative_attempts_; }
   /// Attempts killed by node failures.
   std::uint64_t failed_attempts() const { return failed_attempts_; }
-  /// Completed maps rerun because their output host died.
-  std::uint64_t map_reruns() const { return map_reruns_; }
-  /// Reducers restarted after their host died.
-  std::uint64_t reducer_restarts() const { return reducer_restarts_; }
-  /// Shuffle fetches that failed and were retried after backoff.
-  std::uint64_t fetch_retries() const { return fetch_retries_; }
-  /// Total reducer time spent waiting in fetch-retry backoff, seconds.
-  double fetch_backoff_s() const { return fetch_backoff_s_; }
-  /// Maps declared lost (and rerun) by the fetch-failure threshold.
-  std::uint64_t fetch_failure_reruns() const { return fetch_failure_reruns_; }
 
   /// Attaches a job-history sink (task/job lifecycle events, as the real
   /// framework's history files record). Borrowed; may be null.
@@ -127,11 +118,7 @@ class JobRunner {
   std::vector<std::weak_ptr<Execution>> active_;
   std::uint64_t speculative_attempts_ = 0;
   std::uint64_t failed_attempts_ = 0;
-  std::uint64_t map_reruns_ = 0;
-  std::uint64_t reducer_restarts_ = 0;
-  std::uint64_t fetch_retries_ = 0;
-  double fetch_backoff_s_ = 0.0;
-  std::uint64_t fetch_failure_reruns_ = 0;
+  FaultStats& faults_;
   std::unordered_map<net::NodeId, double> slowdown_;
   JobHistoryLog* history_ = nullptr;
 };

@@ -31,8 +31,8 @@ namespace keddah::hadoop {
 /// Locality level of a granted container.
 enum class LocalityLevel { kNodeLocal, kRackLocal, kOffSwitch };
 
-/// Scheduler counters (for tests and the locality ablation bench).
-struct SchedulerStats {
+/// Container-locality counters (for tests and the locality ablation bench).
+struct LocalityStats {
   std::uint64_t granted_node_local = 0;
   std::uint64_t granted_rack_local = 0;
   std::uint64_t granted_off_switch = 0;
@@ -85,7 +85,7 @@ class YarnScheduler {
   std::size_t free_slots() const { return free_slots_; }
   std::size_t free_slots_on(net::NodeId node) const;
   std::size_t queued_requests() const { return queue_.size(); }
-  const SchedulerStats& stats() const { return stats_; }
+  const LocalityStats& stats() const { return stats_; }
 
  private:
   struct Request {
@@ -128,7 +128,7 @@ class YarnScheduler {
   /// requests (models the NodeManager heartbeat cadence).
   double opportunity_interval_s_ = 1.0;
   bool opportunity_scheduled_ = false;
-  SchedulerStats stats_;
+  LocalityStats stats_;
 };
 
 }  // namespace keddah::hadoop

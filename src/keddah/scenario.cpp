@@ -187,7 +187,6 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec) {
   }
   outcome.trace = cluster.take_trace();
   outcome.history = cluster.history();
-  outcome.rereplications = cluster.hdfs().rereplications();
   outcome.faults = cluster.fault_stats();
   outcome.scheduler = cluster.network().scheduler_stats();
   return outcome;

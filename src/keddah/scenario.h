@@ -112,10 +112,8 @@ struct ScenarioOutcome {
   std::vector<hadoop::JobResult> results;
   capture::Trace trace;
   hadoop::JobHistoryLog history;
-  /// Background repair transfers triggered by injected failures.
-  std::size_t rereplications = 0;
-  /// Injected faults and the recovery work they caused (all zero on clean
-  /// runs).
+  /// Injected faults and the recovery work they caused, background
+  /// re-replication transfers included (all zero on clean runs).
   hadoop::FaultStats faults;
   /// Fair-share scheduler perf counters for the run (reshares, links
   /// touched, heap ops; see net::SchedulerStats).

@@ -167,7 +167,7 @@ void Network::audit_scheduler() const {
     }
   }
   if (in_use != slot_index_.size()) fail("slot index size != live arena slots");
-  if (in_use != live_slots_) fail("live-slot counter != live arena slots");
+  if (in_use != arena_.live) fail("live-slot counter != live arena slots");
   if (finish_heap_.size() != in_use) fail("completion heap size != live arena slots");
   for (std::size_t pos = 1; pos < finish_heap_.size(); ++pos) {
     if (finishes_before(finish_heap_[pos], finish_heap_[(pos - 1) / 2])) {
@@ -196,17 +196,6 @@ void Network::audit_scheduler() const {
     ++frontier;
   }
   if (frontier != dirty_flags) fail("dirty flags out of sync with frontier");
-}
-
-ArenaStats Network::arena_stats() const {
-  ArenaStats s;
-  s.slots = slot_id_.size();
-  s.live = live_slots_;
-  s.peak_live = peak_live_slots_;
-  s.path_pool_len = path_pool_.size();
-  s.slot_reuses = slot_reuses_;
-  s.path_pool_compactions = pool_compactions_;
-  return s;
 }
 
 double Network::arc_bytes(Arc arc) const {
@@ -315,8 +304,8 @@ FlowId Network::start_flow(NodeId src, NodeId dst, util::Bytes bytes, FlowMeta m
   }
 
   flow.path = topology_.route(src, dst, id);
-  const double latency =
-      options_.model_latency ? topology_.path_latency(src, dst, id).value() : 0.0;
+  // Routed once: the latency sum is kept with the slot for the delivery tail.
+  const double latency = options_.model_latency ? topology_.path_latency(flow.path).value() : 0.0;
   double ramp = 0.0;
   if (options_.model_slow_start && latency > 0.0) {
     // Slow-start approximation: the window doubles each RTT until the
@@ -330,7 +319,8 @@ FlowId Network::start_flow(NodeId src, NodeId dst, util::Bytes bytes, FlowMeta m
 
   // Connection establishment: first byte moves one path latency after submit.
   sim_.schedule_in(latency + ramp,
-                   [this, flow = std::move(flow), ramp, cb = std::move(on_complete)]() mutable {
+                   [this, flow = std::move(flow), latency, ramp,
+                    cb = std::move(on_complete)]() mutable {
                      flow.start_time = sim_.now() - ramp;
                      if (!node_up(flow.src) || !node_up(flow.dst)) {
                        // Endpoint died during connection setup: the connect
@@ -362,6 +352,7 @@ FlowId Network::start_flow(NodeId src, NodeId dst, util::Bytes bytes, FlowMeta m
                      slot_rate_cap_[slot] = flow.rate_cap_bps;
                      slot_submit_[slot] = flow.submit_time;
                      slot_start_[slot] = flow.start_time;
+                     slot_latency_[slot] = latency;
                      slot_last_update_[slot] = sim_.now();
                      slot_finish_[slot] = kInf;
                      slot_meta_[slot] = flow.meta;
@@ -369,8 +360,8 @@ FlowId Network::start_flow(NodeId src, NodeId dst, util::Bytes bytes, FlowMeta m
                      slot_callback_[slot] = std::move(cb);
                      assign_path(slot, flow.path);
                      slot_in_use_[slot] = 1;
-                     ++live_slots_;
-                     peak_live_slots_ = std::max(peak_live_slots_, live_slots_);
+                     ++arena_.live;
+                     arena_.peak_live = std::max(arena_.peak_live, arena_.live);
                      slot_index_.insert(flow.id, slot);
                      add_membership(slot);
                      heap_insert(slot);
@@ -416,7 +407,7 @@ std::uint32_t Network::allocate_slot() {
   if (!free_slots_.empty()) {
     const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
-    ++slot_reuses_;
+    ++arena_.slot_reuses;
     // The slot's parked pool segment becomes the new occupant's to reuse
     // (or abandon) in assign_path.
     path_pool_parked_ -= slot_path_[slot].cap;
@@ -433,6 +424,7 @@ std::uint32_t Network::allocate_slot() {
   slot_rate_cap_.push_back(kInf);
   slot_submit_.push_back(0.0);
   slot_start_.push_back(0.0);
+  slot_latency_.push_back(0.0);
   slot_last_update_.push_back(0.0);
   slot_finish_.push_back(kInf);
   slot_meta_.emplace_back();
@@ -501,7 +493,7 @@ void Network::compact_path_pool() {
   member_pos_pool_ = std::move(new_member_pos);
   path_pool_dead_ = 0;
   path_pool_parked_ = 0;
-  ++pool_compactions_;
+  ++arena_.path_pool_compactions;
 }
 
 void Network::add_membership(std::uint32_t slot) {
@@ -537,7 +529,7 @@ std::pair<Flow, Network::CompletionCallback> Network::detach(std::uint32_t slot)
   heap_erase(slot);
   slot_index_.erase(slot_id_[slot]);
   slot_in_use_[slot] = 0;
-  --live_slots_;
+  --arena_.live;
   // The slot keeps its pool segment parked for its next occupant; only the
   // length is cleared so audits and compaction see it as empty.
   path_pool_parked_ += slot_path_[slot].cap;
@@ -884,13 +876,17 @@ void Network::on_completion_event() {
                      kDrainEpsilonBits + 1e-9 * slot_bytes_[slot].bits(),
                  "completed flow left real payload behind");
     slot_remaining_[slot] = util::Bytes(0.0);
+    const double latency = slot_latency_[slot];
+    auto [flow, cb] = detach(slot);
     // archlint:allow(hot-push-back): flow-bounded scratch; capacity
     // persists across completion events.
-    scratch_drained_.push_back(detach(slot));
+    scratch_drained_.emplace_back(std::move(flow), std::move(cb), latency);
   }
   // Heap pop order is (finish, id): simultaneous completions resolve in
   // flow-id order, keeping downstream callbacks deterministic.
-  for (auto& [flow, cb] : scratch_drained_) resolve_finished(std::move(flow), std::move(cb));
+  for (auto& [flow, cb, latency] : scratch_drained_) {
+    resolve_finished(std::move(flow), std::move(cb), latency);
+  }
   reshare();
   if constexpr (util::kAuditEnabled) audit_conservation();
 }
@@ -932,10 +928,8 @@ std::size_t Network::abort_flows_touching(NodeId node) {
   return aborted;
 }
 
-void Network::resolve_finished(Flow flow, CompletionCallback cb) {
+void Network::resolve_finished(Flow flow, CompletionCallback cb, double tail_latency) {
   flow.done = true;
-  const double tail_latency =
-      options_.model_latency ? topology_.path_latency(flow.src, flow.dst, flow.id).value() : 0.0;
   if (tail_latency > 0.0) {
     limbo(flow) += flow.bytes;  // drained but not yet delivered (tail latency)
     sim_.schedule_in(tail_latency, [this, flow = std::move(flow), cb = std::move(cb)]() mutable {

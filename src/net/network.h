@@ -32,6 +32,7 @@
 #include <array>
 #include <functional>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include "net/flow.h"
@@ -95,12 +96,23 @@ struct SchedulerStats {
   std::uint64_t heap_ops = 0;       ///< completion-heap sift swaps
   /// Per-solve links-touched histogram: bucket i counts solves that touched
   /// [4^i, 4^(i+1)) arc shares (bucket 0 is [0,4)). The reshare cost
-  /// distribution the bench reports.
+  /// distribution the bench reports; not part of visit().
   std::array<std::uint64_t, 8> solve_size_hist{};
 
   /// Mean arc-share evaluations per reshare (the headline incremental win).
   double links_per_reshare() const {
     return reshares > 0 ? static_cast<double>(links_touched) / static_cast<double>(reshares) : 0.0;
+  }
+
+  template <typename Fn>
+  void visit(Fn&& fn) const {
+    fn("reshares", reshares);
+    fn("solves", solves);
+    fn("empty_reshares", empty_reshares);
+    fn("links_touched", links_touched);
+    fn("flows_visited", flows_visited);
+    fn("flows_rerated", flows_rerated);
+    fn("heap_ops", heap_ops);
   }
 };
 
@@ -113,6 +125,16 @@ struct ArenaStats {
   std::size_t path_pool_len = 0;  ///< entries in the shared path pool
   std::uint64_t slot_reuses = 0;  ///< allocations served from the free list
   std::uint64_t path_pool_compactions = 0;
+
+  template <typename Fn>
+  void visit(Fn&& fn) const {
+    fn("slots", slots);
+    fn("live", live);
+    fn("peak_live", peak_live);
+    fn("path_pool_len", path_pool_len);
+    fn("slot_reuses", slot_reuses);
+    fn("path_pool_compactions", path_pool_compactions);
+  }
 };
 
 /// Open-addressing FlowId -> slot table (linear probing, power-of-two
@@ -269,14 +291,16 @@ class Network {
   /// Total payload accepted by start_flow() so far.
   util::Bytes offered_bytes() const { return offered_bytes_; }
 
-  /// Number of fair-share recomputations (solver runs; perf counter).
-  std::uint64_t recomputations() const { return sched_stats_.solves; }
-
   /// Scheduler perf counters (reshares, links touched, heap ops, ...).
   const SchedulerStats& scheduler_stats() const { return sched_stats_; }
 
   /// Columnar-arena occupancy counters (slots, pool size, compactions).
-  ArenaStats arena_stats() const;
+  ArenaStats arena_stats() const {
+    ArenaStats s = arena_;
+    s.slots = slot_id_.size();
+    s.path_pool_len = path_pool_.size();
+    return s;
+  }
 
   /// True when the reference (full-recompute) scheduler is active.
   bool reference_scheduler() const { return reference_mode_; }
@@ -418,8 +442,8 @@ class Network {
   void on_completion_event();
 
   /// Delivery tail: fires taps/callback for a fully drained, already
-  /// detached flow (after the tail latency when modelled).
-  void resolve_finished(Flow flow, CompletionCallback cb);
+  /// detached flow after `tail_latency` seconds (its slot's path latency).
+  void resolve_finished(Flow flow, CompletionCallback cb, double tail_latency);
   /// Terminates an already-detached flow with partial-byte accounting and
   /// fires taps/callback immediately.
   void resolve_aborted(Flow flow, CompletionCallback cb);
@@ -455,6 +479,7 @@ class Network {
   std::vector<double> slot_rate_cap_;      ///< cap, +inf when uncapped
   std::vector<double> slot_submit_;
   std::vector<double> slot_start_;
+  std::vector<double> slot_latency_;       ///< path latency, 0 without model_latency
   std::vector<double> slot_last_update_;   ///< progress exact up to here
   std::vector<double> slot_finish_;        ///< projected finish (heap key)
   std::vector<FlowMeta> slot_meta_;
@@ -472,10 +497,8 @@ class Network {
   std::size_t path_pool_dead_ = 0;
   /// Pool entries parked with free-list slots (reusable, not yet dead).
   std::size_t path_pool_parked_ = 0;
-  std::size_t live_slots_ = 0;
-  std::size_t peak_live_slots_ = 0;
-  std::uint64_t slot_reuses_ = 0;
-  std::uint64_t pool_compactions_ = 0;
+  /// Arena counters; slots and path_pool_len are derived in arena_stats().
+  ArenaStats arena_;
 
   std::vector<std::uint32_t> free_slots_;
   FlowSlotIndex slot_index_;
@@ -505,9 +528,9 @@ class Network {
   std::vector<std::uint32_t> scratch_virtual_member_;
   std::vector<std::pair<double, std::uint32_t>> scratch_share_heap_;
   std::vector<std::uint8_t> scratch_frozen_;
-  /// on_completion_event() drained batch (flow + callback pairs), reused
-  /// across completion events.
-  std::vector<std::pair<Flow, CompletionCallback>> scratch_drained_;
+  /// on_completion_event() drained batch (flow, callback, tail latency),
+  /// reused across completion events.
+  std::vector<std::tuple<Flow, CompletionCallback, double>> scratch_drained_;
 
   FlowId next_flow_id_ = 1;
   sim::EventId completion_event_ = sim::kInvalidEvent;

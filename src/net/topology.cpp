@@ -148,9 +148,9 @@ std::vector<Arc> Topology::route(NodeId src, NodeId dst, std::uint64_t flow_key)
   return path;
 }
 
-util::Seconds Topology::path_latency(NodeId src, NodeId dst, std::uint64_t flow_key) const {
+util::Seconds Topology::path_latency(const std::vector<Arc>& path) const {
   util::Seconds total;
-  for (const Arc arc : route(src, dst, flow_key)) total += links_[arc.link].latency;
+  for (const Arc arc : path) total += links_[arc.link].latency;
   return total;
 }
 

@@ -104,8 +104,8 @@ class Topology {
   /// std::runtime_error when dst is unreachable.
   std::vector<Arc> route(NodeId src, NodeId dst, std::uint64_t flow_key) const;
 
-  /// Sum of per-arc latencies along route(src, dst, flow_key).
-  util::Seconds path_latency(NodeId src, NodeId dst, std::uint64_t flow_key) const;
+  /// Sum of per-arc latencies along `path` (a route() result).
+  util::Seconds path_latency(const std::vector<Arc>& path) const;
 
   /// Hop distance (number of links) between two nodes, or -1 if unreachable.
   int distance(NodeId src, NodeId dst) const;

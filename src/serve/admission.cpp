@@ -37,6 +37,9 @@ AdmissionController::AdmissionController(AdmissionOptions options)
   if (options_.shed_threshold > options_.capacity) {
     options_.shed_threshold = options_.capacity;
   }
+  state_.capacity = options_.capacity;
+  state_.shed_threshold = options_.shed_threshold;
+  state_.policy = overload_policy_name(options_.policy);
 }
 
 AdmissionController::Ticket::Ticket(Ticket&& other) noexcept
@@ -64,50 +67,38 @@ AdmissionController::Verdict AdmissionController::try_admit(std::size_t cost,
                                                             Ticket* ticket) {
   util::MutexLock lock(&mutex_);
   if (cost == 0 || options_.policy == OverloadPolicy::kNone) {
-    ++admitted_;
+    ++state_.admitted;
     if (cost > 0) {
-      in_flight_cost_ += cost;
+      state_.in_flight_cost += cost;
       *ticket = Ticket(this, cost);
     }
     return Verdict::kAdmit;
   }
-  if (in_flight_cost_ + cost > options_.capacity) {
-    ++rejected_;
+  if (state_.in_flight_cost + cost > options_.capacity) {
+    ++state_.rejected;
     return Verdict::kReject;
   }
   if (options_.policy == OverloadPolicy::kShed &&
-      in_flight_cost_ >= options_.shed_threshold) {
-    ++shed_;
+      state_.in_flight_cost >= options_.shed_threshold) {
+    ++state_.shed;
     return Verdict::kShed;
   }
-  in_flight_cost_ += cost;
-  ++admitted_;
+  state_.in_flight_cost += cost;
+  ++state_.admitted;
   *ticket = Ticket(this, cost);
   return Verdict::kAdmit;
 }
 
-bool AdmissionController::overloaded() const {
-  util::MutexLock lock(&mutex_);
-  return in_flight_cost_ >= options_.shed_threshold;
-}
-
 AdmissionController::Snapshot AdmissionController::snapshot() const {
-  Snapshot snapshot;
-  snapshot.capacity = options_.capacity;
-  snapshot.shed_threshold = options_.shed_threshold;
-  snapshot.policy = overload_policy_name(options_.policy);
   util::MutexLock lock(&mutex_);
-  snapshot.in_flight_cost = in_flight_cost_;
-  snapshot.overloaded = in_flight_cost_ >= options_.shed_threshold;
-  snapshot.admitted = admitted_;
-  snapshot.rejected = rejected_;
-  snapshot.shed = shed_;
+  Snapshot snapshot = state_;
+  snapshot.overloaded = state_.in_flight_cost >= options_.shed_threshold;
   return snapshot;
 }
 
 void AdmissionController::release(std::size_t cost) {
   util::MutexLock lock(&mutex_);
-  in_flight_cost_ -= cost;
+  state_.in_flight_cost -= cost;
 }
 
 }  // namespace keddah::serve

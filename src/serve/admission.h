@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <string>
 
+#include "util/counters.h"
 #include "util/mutex.h"
 
 namespace keddah::serve {
@@ -91,19 +92,32 @@ class AdmissionController {
   /// always admitted without touching the budget.
   Verdict try_admit(std::size_t cost, Ticket* ticket) EXCLUDES(mutex_);
 
-  /// True while in-flight cost >= shed_threshold (any policy; informs
-  /// /v1/stats even when the policy never sheds).
-  bool overloaded() const EXCLUDES(mutex_);
-
   struct Snapshot {
     std::size_t capacity = 0;
     std::size_t shed_threshold = 0;
     std::size_t in_flight_cost = 0;
+    /// in_flight_cost >= shed_threshold (any policy; reported even when
+    /// the policy never sheds).
     bool overloaded = false;
     const char* policy = "";
     std::uint64_t admitted = 0;
     std::uint64_t rejected = 0;
     std::uint64_t shed = 0;
+
+    /// The /v1/stats robustness layout: queue fields under "queue".
+    template <typename Fn>
+    void visit(Fn&& fn) const {
+      fn("overloaded", overloaded);
+      fn("admitted", admitted);
+      fn("rejected", rejected);
+      fn("shed", shed);
+      fn("queue", util::CounterGroup{[this](auto&& group) {
+        group("capacity", capacity);
+        group("shed_threshold", shed_threshold);
+        group("in_flight_cost", in_flight_cost);
+        group("policy", policy);
+      }});
+    }
   };
   Snapshot snapshot() const EXCLUDES(mutex_);
 
@@ -112,10 +126,9 @@ class AdmissionController {
 
   AdmissionOptions options_;
   mutable util::Mutex mutex_;
-  std::size_t in_flight_cost_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t admitted_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t rejected_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t shed_ GUARDED_BY(mutex_) = 0;
+  /// The live counters; the settings fields are fixed at construction and
+  /// `overloaded` is derived in snapshot().
+  Snapshot state_ GUARDED_BY(mutex_);
 };
 
 }  // namespace keddah::serve

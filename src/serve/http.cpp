@@ -195,16 +195,13 @@ void HttpServer::stop() {
 }
 
 TransportStats HttpServer::transport_stats() const {
-  TransportStats stats;
-  stats.accepted = accepted_.load();
-  stats.rejected_pending = rejected_pending_.load();
-  stats.header_timeouts = header_timeouts_.load();
-  stats.body_timeouts = body_timeouts_.load();
-  stats.oversized = oversized_.load();
-  stats.malformed = malformed_.load();
-  stats.early_disconnects = early_disconnects_.load();
-  stats.write_aborts = write_aborts_.load();
-  return stats;
+  util::MutexLock lock(&stats_mutex_);
+  return stats_;
+}
+
+void HttpServer::count(std::uint64_t TransportStats::*counter) {
+  util::MutexLock lock(&stats_mutex_);
+  ++(stats_.*counter);
 }
 
 void HttpServer::accept_loop() {
@@ -238,13 +235,13 @@ void HttpServer::accept_loop() {
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
     }
     if (!admit) {
-      rejected_pending_.fetch_add(1);
+      count(&TransportStats::rejected_pending);
       respond(fd, transport_error(api::ErrorCode::kQueueFull,
                                   "connection queue at capacity; retry later"));
       ::close(fd);
       continue;
     }
-    accepted_.fetch_add(1);
+    count(&TransportStats::accepted);
     pool_->submit([this, fd] {
       handle_connection(fd);
       finish_connection();
@@ -273,7 +270,7 @@ void HttpServer::respond(int fd, const HttpResponse& response) {
   }
   out += "Connection: close\r\n\r\n";
   out += response.body;
-  if (!write_all(fd, out)) write_aborts_.fetch_add(1);
+  if (!write_all(fd, out)) count(&TransportStats::write_aborts);
 }
 
 void HttpServer::handle_connection(int fd) {
@@ -285,7 +282,7 @@ void HttpServer::handle_connection(int fd) {
   std::size_t header_end = std::string::npos;
   while ((header_end = data.find("\r\n\r\n")) == std::string::npos) {
     if (data.size() > options_.max_header_bytes) {
-      oversized_.fetch_add(1);
+      count(&TransportStats::oversized);
       respond(fd, transport_error(api::ErrorCode::kPayloadTooLarge,
                                   util::format("header block exceeds %zu bytes",
                                                options_.max_header_bytes)));
@@ -297,11 +294,11 @@ void HttpServer::handle_connection(int fd) {
       case ReadStatus::kClosed:
         if (data.empty()) {
           // Probe/port-scan connection: nothing was asked, nothing is owed.
-          early_disconnects_.fetch_add(1);
+          count(&TransportStats::early_disconnects);
         } else {
           // The peer half-closed mid-header; it may still be reading, so
           // answer the framing defect instead of silently dropping it.
-          malformed_.fetch_add(1);
+          count(&TransportStats::malformed);
           respond(fd, transport_error(api::ErrorCode::kBadRequest,
                                       "truncated request: header block never "
                                       "terminated with CRLFCRLF"));
@@ -309,13 +306,13 @@ void HttpServer::handle_connection(int fd) {
         ::close(fd);
         return;
       case ReadStatus::kTimeout:
-        header_timeouts_.fetch_add(1);
+        count(&TransportStats::header_timeouts);
         respond(fd, transport_error(api::ErrorCode::kRequestTimeout,
                                     "request header read budget exhausted"));
         ::close(fd);
         return;
       case ReadStatus::kError:
-        early_disconnects_.fetch_add(1);
+        count(&TransportStats::early_disconnects);
         ::close(fd);
         return;
     }
@@ -324,7 +321,7 @@ void HttpServer::handle_connection(int fd) {
   // The cap applies to the finished block too: a whole oversized header
   // landing in one read must not slip past the mid-read check above.
   if (header_end > options_.max_header_bytes) {
-    oversized_.fetch_add(1);
+    count(&TransportStats::oversized);
     respond(fd, transport_error(api::ErrorCode::kPayloadTooLarge,
                                 util::format("header block exceeds %zu bytes",
                                              options_.max_header_bytes)));
@@ -340,21 +337,21 @@ void HttpServer::handle_connection(int fd) {
   switch (content_length(data.substr(0, header_end), &body_length)) {
     case LengthStatus::kOk: break;
     case LengthStatus::kMalformed:
-      malformed_.fetch_add(1);
+      count(&TransportStats::malformed);
       respond(fd, transport_error(api::ErrorCode::kBadRequest,
                                   "malformed Content-Length: value is not a "
                                   "non-negative integer"));
       ::close(fd);
       return;
     case LengthStatus::kOverflow:
-      oversized_.fetch_add(1);
+      count(&TransportStats::oversized);
       respond(fd, transport_error(api::ErrorCode::kPayloadTooLarge,
                                   "declared Content-Length overflows"));
       ::close(fd);
       return;
   }
   if (body_length > options_.max_body_bytes) {
-    oversized_.fetch_add(1);
+    count(&TransportStats::oversized);
     respond(fd, transport_error(api::ErrorCode::kPayloadTooLarge,
                                 util::format("declared body of %zu bytes exceeds the "
                                              "%zu byte cap",
@@ -370,20 +367,20 @@ void HttpServer::handle_connection(int fd) {
     switch (read_some(fd, data, body_deadline)) {
       case ReadStatus::kData: continue;
       case ReadStatus::kClosed:
-        malformed_.fetch_add(1);
+        count(&TransportStats::malformed);
         respond(fd, transport_error(api::ErrorCode::kBadRequest,
                                     "request body shorter than the declared "
                                     "Content-Length"));
         ::close(fd);
         return;
       case ReadStatus::kTimeout:
-        body_timeouts_.fetch_add(1);
+        count(&TransportStats::body_timeouts);
         respond(fd, transport_error(api::ErrorCode::kRequestTimeout,
                                     "request body read budget exhausted"));
         ::close(fd);
         return;
       case ReadStatus::kError:
-        early_disconnects_.fetch_add(1);
+        count(&TransportStats::early_disconnects);
         ::close(fd);
         return;
     }
@@ -399,7 +396,7 @@ void HttpServer::handle_connection(int fd) {
                                        : request_line.find(' ', first_space + 1);
   HttpResponse response;
   if (second_space == std::string::npos || first_space == 0) {
-    malformed_.fetch_add(1);
+    count(&TransportStats::malformed);
     response = transport_error(api::ErrorCode::kBadRequest,
                                "malformed request line (want METHOD TARGET VERSION)");
   } else {

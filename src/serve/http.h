@@ -103,6 +103,18 @@ struct TransportStats {
   std::uint64_t malformed = 0;          ///< 400: framing/Content-Length defects.
   std::uint64_t early_disconnects = 0;  ///< Peer vanished before owing a response.
   std::uint64_t write_aborts = 0;       ///< Response write failed or timed out.
+
+  template <typename Fn>
+  void visit(Fn&& fn) const {
+    fn("accepted", accepted);
+    fn("rejected_pending", rejected_pending);
+    fn("header_timeouts", header_timeouts);
+    fn("body_timeouts", body_timeouts);
+    fn("oversized", oversized);
+    fn("malformed", malformed);
+    fn("early_disconnects", early_disconnects);
+    fn("write_aborts", write_aborts);
+  }
 };
 
 /// Standard reason phrase for the statuses the daemon emits.
@@ -137,7 +149,7 @@ class HttpServer {
   void stop();
 
   /// Point-in-time copy of the failure counters.
-  TransportStats transport_stats() const;
+  TransportStats transport_stats() const EXCLUDES(stats_mutex_);
 
  private:
   void accept_loop() EXCLUDES(state_mutex_);
@@ -145,6 +157,7 @@ class HttpServer {
   /// Serializes and sends `response`; counts write_aborts on failure.
   void respond(int fd, const HttpResponse& response);
   void finish_connection() EXCLUDES(pending_mutex_);
+  void count(std::uint64_t TransportStats::*counter) EXCLUDES(stats_mutex_);
 
   // Shutdown handshake: stop() wins the stopping_ exchange, then closes
   // listen_fd_ under state_mutex_ (unblocking a pending accept), joins the
@@ -167,16 +180,10 @@ class HttpServer {
   std::size_t pending_ GUARDED_BY(pending_mutex_) = 0;
   util::CondVar drained_cv_;
 
-  // Counters are plain atomics: incremented from workers and the accept
-  // loop, snapshotted by transport_stats() without ordering requirements.
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> rejected_pending_{0};
-  std::atomic<std::uint64_t> header_timeouts_{0};
-  std::atomic<std::uint64_t> body_timeouts_{0};
-  std::atomic<std::uint64_t> oversized_{0};
-  std::atomic<std::uint64_t> malformed_{0};
-  std::atomic<std::uint64_t> early_disconnects_{0};
-  std::atomic<std::uint64_t> write_aborts_{0};
+  // Incremented from workers and the accept loop (count()), copied out
+  // whole by transport_stats().
+  mutable util::Mutex stats_mutex_;
+  TransportStats stats_ GUARDED_BY(stats_mutex_);
 };
 
 }  // namespace keddah::serve

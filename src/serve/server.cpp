@@ -179,7 +179,7 @@ std::shared_ptr<const model::KeddahModel> Server::acquire_model(const std::strin
   auto loaded = std::make_shared<const model::KeddahModel>(model::KeddahModel::from_json(node));
   {
     util::MutexLock stats_lock(&stats_mutex_);
-    ++model_loads_;
+    ++stats_.model_loads;
   }
   model_lru_.push_front(name);
   resident_[name] = {loaded, model_lru_.begin()};
@@ -211,15 +211,23 @@ std::vector<std::string> Server::model_names() const {
 
 ServerStats Server::stats() const {
   ServerStats stats;
+  {
+    util::MutexLock lock(&stats_mutex_);
+    stats = stats_;
+  }
   stats.admission = admission_.snapshot();
   stats.transport = http_.transport_stats();
-  util::MutexLock lock(&stats_mutex_);
-  stats.requests = requests_;
-  stats.errors = errors_;
-  stats.cache_hits = cache_hits_;
-  stats.cache_misses = cache_misses_;
-  stats.model_loads = model_loads_;
-  stats.deadline_expired = deadline_expired_;
+  {
+    util::MutexLock lock(&cache_mutex_);
+    stats.cache_entries = cache_.size();
+  }
+  stats.cache_capacity = options_.max_cache_entries;
+  {
+    util::MutexLock lock(&models_mutex_);
+    stats.models_registered = registry_.size();
+    stats.models_resident = resident_.size();
+  }
+  stats.max_resident_models = options_.max_resident_models;
   return stats;
 }
 
@@ -229,13 +237,13 @@ std::shared_ptr<const std::string> Server::cache_lookup(std::uint64_t key) {
   const auto it = cache_.find(key);
   if (it == cache_.end()) {
     util::MutexLock stats_lock(&stats_mutex_);
-    ++cache_misses_;
+    ++stats_.cache_misses;
     return nullptr;
   }
   cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second.lru_it);
   {
     util::MutexLock stats_lock(&stats_mutex_);
-    ++cache_hits_;
+    ++stats_.cache_hits;
   }
   // A hit hands out the stored body by refcount bump; the byte copy into
   // the HTTP response happens outside cache_mutex_.
@@ -284,7 +292,7 @@ std::optional<HttpResponse> Server::admit_cold_work(const HttpRequest& request,
   if (request.deadline.expired()) {
     {
       util::MutexLock lock(&stats_mutex_);
-      ++deadline_expired_;
+      ++stats_.deadline_expired;
     }
     return error_response(api::ErrorCode::kDeadlineExceeded,
                           "request outlived its wall-clock budget before "
@@ -296,7 +304,7 @@ std::optional<HttpResponse> Server::admit_cold_work(const HttpRequest& request,
 HttpResponse Server::handle(const HttpRequest& request) {
   {
     util::MutexLock lock(&stats_mutex_);
-    ++requests_;
+    ++stats_.requests;
   }
   HttpResponse response;
   try {
@@ -350,7 +358,7 @@ HttpResponse Server::handle(const HttpRequest& request) {
   }
   if (response.status != 200) {
     util::MutexLock lock(&stats_mutex_);
-    ++errors_;
+    ++stats_.errors;
   }
   return response;
 }
@@ -465,7 +473,7 @@ util::Json Server::health_json() const {
   doc["status"] = util::Json("ok");
   // Overload is reported but never blocks this endpoint: health is the
   // daemon's pulse and the graceful-degradation story depends on it.
-  doc["overloaded"] = util::Json(admission_.overloaded());
+  doc["overloaded"] = util::Json(admission_.snapshot().overloaded);
   util::Json endpoints = util::Json::array();
   for (const char* e : {"/v1/health", "/v1/reproduce", "/v1/shutdown", "/v1/stats",
                         "/v1/validate", "/v1/whatif"}) {
@@ -478,63 +486,9 @@ util::Json Server::health_json() const {
   return doc;
 }
 
-util::Json Server::stats_json() {
-  util::Json cache = util::Json::object();
-  util::Json models = util::Json::object();
-  {
-    util::MutexLock lock(&cache_mutex_);
-    cache["entries"] = util::Json(static_cast<std::uint64_t>(cache_.size()));
-  }
-  cache["capacity"] = util::Json(static_cast<std::uint64_t>(options_.max_cache_entries));
-  {
-    util::MutexLock lock(&models_mutex_);
-    models["registered"] = util::Json(static_cast<std::uint64_t>(registry_.size()));
-    models["resident"] = util::Json(static_cast<std::uint64_t>(resident_.size()));
-  }
-  models["max_resident"] = util::Json(static_cast<std::uint64_t>(options_.max_resident_models));
-  util::Json doc = util::Json::object();
+util::Json Server::stats_json() const {
+  util::Json doc = util::counters_json(stats());
   doc["api"] = util::Json(api::kApiVersionString);
-  {
-    util::MutexLock lock(&stats_mutex_);
-    doc["requests"] = util::Json(requests_);
-    doc["errors"] = util::Json(errors_);
-    cache["hits"] = util::Json(cache_hits_);
-    cache["misses"] = util::Json(cache_misses_);
-    models["loads"] = util::Json(model_loads_);
-  }
-  doc["cache"] = std::move(cache);
-  doc["models"] = std::move(models);
-
-  // The overload-survival counters: admission verdicts + queue occupancy
-  // (429/503 sources), the deadline shed count, and the transport's
-  // 408/413/429/400 tallies — everything the chaos suite and the overload
-  // bench gate on.
-  const auto snapshot = stats();
-  util::Json queue = util::Json::object();
-  queue["capacity"] = util::Json(static_cast<std::uint64_t>(snapshot.admission.capacity));
-  queue["shed_threshold"] =
-      util::Json(static_cast<std::uint64_t>(snapshot.admission.shed_threshold));
-  queue["in_flight_cost"] =
-      util::Json(static_cast<std::uint64_t>(snapshot.admission.in_flight_cost));
-  queue["policy"] = util::Json(snapshot.admission.policy);
-  util::Json transport = util::Json::object();
-  transport["accepted"] = util::Json(snapshot.transport.accepted);
-  transport["rejected_pending"] = util::Json(snapshot.transport.rejected_pending);
-  transport["header_timeouts"] = util::Json(snapshot.transport.header_timeouts);
-  transport["body_timeouts"] = util::Json(snapshot.transport.body_timeouts);
-  transport["oversized"] = util::Json(snapshot.transport.oversized);
-  transport["malformed"] = util::Json(snapshot.transport.malformed);
-  transport["early_disconnects"] = util::Json(snapshot.transport.early_disconnects);
-  transport["write_aborts"] = util::Json(snapshot.transport.write_aborts);
-  util::Json robustness = util::Json::object();
-  robustness["overloaded"] = util::Json(snapshot.admission.overloaded);
-  robustness["admitted"] = util::Json(snapshot.admission.admitted);
-  robustness["rejected"] = util::Json(snapshot.admission.rejected);
-  robustness["shed"] = util::Json(snapshot.admission.shed);
-  robustness["deadline_expired"] = util::Json(snapshot.deadline_expired);
-  robustness["queue"] = std::move(queue);
-  robustness["transport"] = std::move(transport);
-  doc["robustness"] = std::move(robustness);
   return doc;
 }
 

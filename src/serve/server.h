@@ -50,6 +50,7 @@
 #include "model/keddah_model.h"
 #include "serve/admission.h"
 #include "serve/http.h"
+#include "util/counters.h"
 #include "util/json.h"
 #include "util/mutex.h"
 
@@ -101,21 +102,50 @@ struct ServeOptions {
   std::size_t sndbuf_bytes = 0;
 };
 
-/// Point-in-time counters for tests, benches, and /v1/stats. All values
-/// are monotonic totals since construction except the queue/overload
-/// fields, which are instantaneous.
+/// Point-in-time counters; /v1/stats is one of these rendered whole plus
+/// its "api" tag. Totals are monotonic since construction; occupancy
+/// (cache entries, resident models, queue) is instantaneous.
 struct ServerStats {
   std::uint64_t requests = 0;
   std::uint64_t errors = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  std::size_t cache_entries = 0;
+  std::size_t cache_capacity = 0;
   std::uint64_t model_loads = 0;
+  std::size_t models_registered = 0;
+  std::size_t models_resident = 0;
+  std::size_t max_resident_models = 0;
   /// Requests shed because they outlived their wall-clock budget (503).
   std::uint64_t deadline_expired = 0;
   /// Admission verdict counters and occupancy (429/503 sources).
   AdmissionController::Snapshot admission;
   /// Transport-level failures (408/413/429/400 before the handler).
   TransportStats transport;
+
+  /// The /v1/stats layout; overload counters go under "robustness".
+  template <typename Fn>
+  void visit(Fn&& fn) const {
+    fn("requests", requests);
+    fn("errors", errors);
+    fn("cache", util::CounterGroup{[this](auto&& group) {
+      group("hits", cache_hits);
+      group("misses", cache_misses);
+      group("entries", cache_entries);
+      group("capacity", cache_capacity);
+    }});
+    fn("models", util::CounterGroup{[this](auto&& group) {
+      group("loads", model_loads);
+      group("registered", models_registered);
+      group("resident", models_resident);
+      group("max_resident", max_resident_models);
+    }});
+    fn("robustness", util::CounterGroup{[this](auto&& group) {
+      admission.visit(group);
+      group("deadline_expired", deadline_expired);
+      group("transport", transport);
+    }});
+  }
 };
 
 /// The daemon. Construction registers models (reading each file once to
@@ -143,8 +173,8 @@ class Server {
   /// Registered model names, sorted.
   std::vector<std::string> model_names() const;
 
-  /// Counter snapshot (the same numbers /v1/stats serializes).
-  ServerStats stats() const;
+  /// Counter snapshot; /v1/stats renders exactly one of these.
+  ServerStats stats() const EXCLUDES(stats_mutex_, cache_mutex_, models_mutex_);
 
  private:
   /// Where a registered model lives on disk; models reload from here when
@@ -185,7 +215,7 @@ class Server {
   std::optional<HttpResponse> admit_cold_work(const HttpRequest& request,
                                               AdmissionController::Ticket* ticket);
   util::Json health_json() const;
-  util::Json stats_json() EXCLUDES(stats_mutex_, cache_mutex_, models_mutex_);
+  util::Json stats_json() const EXCLUDES(stats_mutex_, cache_mutex_, models_mutex_);
 
   ServeOptions options_;
   HttpServer http_;
@@ -204,7 +234,7 @@ class Server {
                                   std::list<std::string>::iterator>>
       resident_ GUARDED_BY(models_mutex_);
 
-  util::Mutex cache_mutex_;
+  mutable util::Mutex cache_mutex_;
   std::list<std::uint64_t> cache_lru_ GUARDED_BY(cache_mutex_);  // front = MRU
   struct CacheEntry {
     // Shared so a cache hit hands out a refcount bump under cache_mutex_
@@ -215,12 +245,9 @@ class Server {
   std::map<std::uint64_t, CacheEntry> cache_ GUARDED_BY(cache_mutex_);
 
   mutable util::Mutex stats_mutex_;
-  std::uint64_t requests_ GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t errors_ GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t cache_hits_ GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t cache_misses_ GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t model_loads_ GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t deadline_expired_ GUARDED_BY(stats_mutex_) = 0;
+  /// The request/cache/model/deadline counters; the admission, transport
+  /// and occupancy fields are filled in by stats() from their owners.
+  ServerStats stats_ GUARDED_BY(stats_mutex_);
 
   util::Mutex shutdown_mutex_;
   util::CondVar shutdown_cv_;

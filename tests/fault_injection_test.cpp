@@ -156,7 +156,7 @@ TEST(TransientOutage, OutageKeepsHdfsReplicas) {
   const auto victim = cluster.workers()[2];
   cluster.fail_node_transient(victim, 5.0);
   cluster.simulator().run();
-  EXPECT_EQ(cluster.hdfs().rereplications(), 0u);
+  EXPECT_EQ(cluster.fault_stats().rereplications, 0u);
   EXPECT_EQ(cluster.hdfs().lost_blocks(), 0u);
   EXPECT_TRUE(cluster.scheduler().node_up(victim));
 }
@@ -183,7 +183,7 @@ TEST(TransientOutage, CrashDuringOutageWindowStaysDown) {
   EXPECT_FALSE(cluster.scheduler().node_up(victim));
   EXPECT_EQ(cluster.fault_stats().outages, 1u);
   EXPECT_EQ(cluster.fault_stats().crashes, 1u);
-  EXPECT_GT(cluster.hdfs().rereplications(), 0u);
+  EXPECT_GT(cluster.fault_stats().rereplications, 0u);
 }
 
 // ------------------------------------------------------------- degraded link

@@ -5,8 +5,14 @@
 // able to silently shift a completion time, so these pin the entire
 // observable output of the toolchain, flow by flow.
 //
+// A second suite pins each scenario's `run-scenario --json` response
+// document byte for byte (<name>.whatif.json): key names, nesting and
+// number formatting of the faults/scheduler counter sections included,
+// which the CLI<->daemon identity check cannot see because both sides
+// render through the same function.
+//
 // When an intentional behaviour change moves the traces, regenerate with:
-//   KEDDAH_REGEN_GOLDEN=1 ctest -R GoldenTrace
+//   KEDDAH_REGEN_GOLDEN=1 ctest -R Golden
 // and review the golden diff like any other code change.
 #include <gtest/gtest.h>
 
@@ -16,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "api/specs.h"
 #include "keddah/scenario.h"
 #include "util/strings.h"
 
@@ -38,8 +45,8 @@ std::string render(const kc::ScenarioOutcome& outcome) {
     out << "\n";
   }
   const auto& f = outcome.faults;
-  out << ku::format(R"({"jobs":%zu,"rereplications":%zu,"aborted_flows":%llu,"aborted_bytes":%.17g})",
-                    outcome.results.size(), outcome.rereplications,
+  out << ku::format(R"({"jobs":%zu,"rereplications":%llu,"aborted_flows":%llu,"aborted_bytes":%.17g})",
+                    outcome.results.size(), static_cast<unsigned long long>(f.rereplications),
                     static_cast<unsigned long long>(f.aborted_flows), f.aborted_bytes.value());
   out << "\n";
   return out.str();
@@ -53,17 +60,18 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
-class GoldenTrace : public ::testing::TestWithParam<const char*> {};
+kc::ScenarioOutcome run_example(const std::string& name) {
+  // The env switch would swap in the reference scheduler; the goldens pin
+  // the incremental one.
+  unsetenv("KEDDAH_REFERENCE_SCHEDULER");
+  return kc::run_scenario(
+      kc::load_scenario(std::string(KEDDAH_EXAMPLE_SCENARIOS) + "/" + name + ".json"));
+}
 
-}  // namespace
-
-TEST_P(GoldenTrace, MatchesCheckedInTrace) {
-  const std::string name = GetParam();
-  const auto spec = kc::load_scenario(std::string(KEDDAH_EXAMPLE_SCENARIOS) + "/" + name + ".json");
-  const auto outcome = kc::run_scenario(spec);
-  const std::string got = render(outcome);
-  const std::string golden_path = std::string(KEDDAH_GOLDEN_DIR) + "/" + name + ".trace.jsonl";
-
+/// Diffs `got` against tests/golden/<file> (or rewrites the golden under
+/// KEDDAH_REGEN_GOLDEN), reporting the first differing line.
+void expect_matches_golden(const std::string& file, const std::string& got) {
+  const std::string golden_path = std::string(KEDDAH_GOLDEN_DIR) + "/" + file;
   if (std::getenv("KEDDAH_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(golden_path, std::ios::binary | std::ios::trunc);
     ASSERT_TRUE(out) << "cannot write " << golden_path;
@@ -86,7 +94,7 @@ TEST_P(GoldenTrace, MatchesCheckedInTrace) {
     ++line;
     if (!got_more && !want_more) break;
     if (!got_more || !want_more || got_line != want_line) {
-      FAIL() << name << ".trace.jsonl line " << line << " diverged\n  golden: "
+      FAIL() << file << " line " << line << " diverged\n  golden: "
              << (want_more ? want_line : "<eof>") << "\n  actual: "
              << (got_more ? got_line : "<eof>")
              << "\nIf intentional, regenerate with KEDDAH_REGEN_GOLDEN=1 and review the diff.";
@@ -94,6 +102,27 @@ TEST_P(GoldenTrace, MatchesCheckedInTrace) {
   }
 }
 
+class GoldenTrace : public ::testing::TestWithParam<const char*> {};
+class GoldenWhatIf : public ::testing::TestWithParam<const char*> {};
+
+}  // namespace
+
+TEST_P(GoldenTrace, MatchesCheckedInTrace) {
+  const std::string name = GetParam();
+  expect_matches_golden(name + ".trace.jsonl", render(run_example(name)));
+}
+
+// The bytes `keddah run-scenario --file <name>.json --json` prints (and
+// /v1/whatif answers) for one scenario.
+TEST_P(GoldenWhatIf, MatchesCheckedInResponse) {
+  const std::string name = GetParam();
+  expect_matches_golden(name + ".whatif.json",
+                        keddah::api::to_body(keddah::api::whatif_response(run_example(name))));
+}
+
 INSTANTIATE_TEST_SUITE_P(ExampleScenarios, GoldenTrace,
+                         ::testing::Values("clean", "crash", "outage", "degraded_link"),
+                         [](const auto& info) { return std::string(info.param); });
+INSTANTIATE_TEST_SUITE_P(ExampleScenarios, GoldenWhatIf,
                          ::testing::Values("clean", "crash", "outage", "degraded_link"),
                          [](const auto& info) { return std::string(info.param); });

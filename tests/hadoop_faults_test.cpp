@@ -127,7 +127,7 @@ TEST(NodeFailure, HdfsReReplicatesLostBlocks) {
   }
   cluster.fail_node(victim);
   cluster.simulator().run();
-  EXPECT_EQ(cluster.hdfs().rereplications(), blocks_on_victim);
+  EXPECT_EQ(cluster.fault_stats().rereplications, blocks_on_victim);
   EXPECT_EQ(cluster.hdfs().lost_blocks(), 0u);
   // Every block is back to 3 replicas, none on the dead node.
   for (const auto& block : cluster.hdfs().file_by_name(input).blocks) {
@@ -174,7 +174,7 @@ TEST(NodeFailure, JobSurvivesMidMapFailure) {
   // Everything still adds up: all output written despite reruns.
   EXPECT_NEAR(static_cast<double>(result.output_bytes),
               static_cast<double>(result.input_bytes), 1e5);
-  EXPECT_GT(cluster.runner().failed_attempts() + cluster.runner().map_reruns(), 0u);
+  EXPECT_GT(cluster.runner().failed_attempts() + cluster.fault_stats().map_reruns, 0u);
   // No flow touching the dead node carried a single byte past the failure
   // instant: in-flight transfers abort at t=3.0 (partial bytes, end time
   // pinned to the failure), and nothing new starts against the node.
@@ -214,7 +214,7 @@ TEST(NodeFailure, ReducerRestartRefetchesShuffle) {
     const auto result = fresh.run_job(kw::make_spec(kw::Workload::kSort, in, 6));
     EXPECT_NEAR(static_cast<double>(result.output_bytes),
                 static_cast<double>(result.input_bytes), 1e5);
-    saw_restart |= fresh.runner().reducer_restarts() > 0;
+    saw_restart |= fresh.fault_stats().reducer_restarts > 0;
   }
   (void)input;
   (void)saw_restart;  // restarts are stochastic; correctness asserted above
@@ -276,7 +276,7 @@ TEST(NodeFailureEdge, SingleMapJobLosesAllOutputsAndReruns) {
   // finish time carry over.
   cluster.fail_node_at(map_host, map_finish + 0.05);
   const auto result = cluster.run_job(kw::make_spec(kw::Workload::kSort, input, 2));
-  EXPECT_GE(cluster.runner().map_reruns(), 1u);
+  EXPECT_GE(cluster.fault_stats().map_reruns, 1u);
   EXPECT_GE(result.map_reruns, 1u);
   EXPECT_NEAR(static_cast<double>(result.output_bytes),
               static_cast<double>(result.input_bytes), 1e5);
@@ -313,7 +313,7 @@ TEST(NodeFailureEdge, MidWriteFailureRebuildsPipelines) {
   const auto result = cluster.run_job(kw::make_spec(kw::Workload::kSort, input, 4));
   EXPECT_NEAR(static_cast<double>(result.output_bytes),
               static_cast<double>(result.input_bytes), 1e5);
-  EXPECT_GT(cluster.hdfs().pipeline_rebuilds(), 0u);
+  EXPECT_GT(cluster.fault_stats().pipeline_rebuilds, 0u);
   EXPECT_EQ(result.pipeline_rebuilds, cluster.hdfs().pipeline_rebuilds(result.job_id));
 }
 

@@ -21,13 +21,14 @@ struct HdfsHarness {
   kh::ClusterConfig config;
   std::unique_ptr<kn::Network> net;
   std::unique_ptr<kc::FlowCollector> collector;
+  kh::FaultStats faults;
   std::unique_ptr<kh::HdfsCluster> hdfs;
 
   explicit HdfsHarness(kh::ClusterConfig cfg = {}, std::uint64_t seed = 1) : config(cfg) {
     net = std::make_unique<kn::Network>(sim, config.build_topology());
     collector = std::make_unique<kc::FlowCollector>(*net);
     hdfs = std::make_unique<kh::HdfsCluster>(*net, net->topology().hosts(), config,
-                                             ku::Rng(seed));
+                                             ku::Rng(seed), faults);
   }
 };
 

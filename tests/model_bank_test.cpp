@@ -111,6 +111,7 @@ struct BalancerHarness {
   kh::ClusterConfig config;
   std::unique_ptr<kn::Network> net;
   std::unique_ptr<kc::FlowCollector> collector;
+  kh::FaultStats faults;
   std::unique_ptr<kh::HdfsCluster> hdfs;
 
   BalancerHarness() {
@@ -121,7 +122,7 @@ struct BalancerHarness {
     net = std::make_unique<kn::Network>(sim, config.build_topology());
     collector = std::make_unique<kc::FlowCollector>(*net);
     hdfs = std::make_unique<kh::HdfsCluster>(*net, net->topology().hosts(), config,
-                                             ku::Rng(3));
+                                             ku::Rng(3), faults);
   }
 };
 

@@ -330,7 +330,7 @@ TEST(SchedulerDifferential, ScenarioPipelineMatchesUnderEnvSwitch) {
   EXPECT_EQ(inc.faults.aborted_bytes.value(), ref.faults.aborted_bytes.value());
   EXPECT_EQ(inc.faults.fetch_retries, ref.faults.fetch_retries);
   EXPECT_EQ(inc.faults.map_reruns, ref.faults.map_reruns);
-  EXPECT_EQ(inc.rereplications, ref.rereplications);
+  EXPECT_EQ(inc.faults.rereplications, ref.faults.rereplications);
   // The env var actually flipped the mode: the reference run's full sweeps
   // touch at least as many links per reshare.
   EXPECT_GE(ref.scheduler.links_per_reshare(), inc.scheduler.links_per_reshare());

@@ -43,7 +43,7 @@ TEST(Topology, RouteThroughSwitch) {
   ASSERT_EQ(path.size(), 2u);
   EXPECT_EQ(t.arc_from(path[0]), h0);
   EXPECT_EQ(t.arc_to(path[1]), h1);
-  EXPECT_DOUBLE_EQ(t.path_latency(h0, h1, 1).value(), 2e-4);
+  EXPECT_DOUBLE_EQ(t.path_latency(path).value(), 2e-4);
 }
 
 TEST(Topology, LoopbackRouteIsEmpty) {

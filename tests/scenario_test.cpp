@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "api/specs.h"
 #include "cli/cli.h"
 #include "keddah/scenario.h"
 
@@ -108,7 +109,7 @@ TEST(ScenarioRun, FailureInjectionTriggersRepair) {
   })"));
   const auto outcome = kc::run_scenario(spec);
   ASSERT_EQ(outcome.results.size(), 1u);
-  EXPECT_GT(outcome.rereplications, 0u);
+  EXPECT_GT(outcome.faults.rereplications, 0u);
 }
 
 TEST(ScenarioRun, OutOfRangeFailureWorkerThrows) {
@@ -251,7 +252,10 @@ TEST(ScenarioRun, FaultStatsSurfaceInOutcome) {
   const auto outcome = kc::run_scenario(spec);
   ASSERT_EQ(outcome.results.size(), 1u);
   EXPECT_EQ(outcome.faults.crashes, 1u);
-  EXPECT_EQ(outcome.faults.rereplications, outcome.rereplications);
+  // The response keeps a top-level "rereplications" key; it reads the
+  // fault ledger.
+  const auto doc = keddah::api::whatif_response(outcome);
+  EXPECT_EQ(doc.at("rereplications").as_int(), doc.at("faults").at("rereplications").as_int());
 }
 
 TEST(ScenarioCli, RunScenarioCommand) {

@@ -141,7 +141,7 @@ TEST(ChaosAdmission, ShedPolicyDegradesBeforeCapacity) {
 
   ks::AdmissionController::Ticket held;
   ASSERT_EQ(admission.try_admit(2, &held), ks::AdmissionController::Verdict::kAdmit);
-  EXPECT_TRUE(admission.overloaded());
+  EXPECT_TRUE(admission.snapshot().overloaded);
 
   // Capacity remains (2 + 2 <= 8) but overload mode sheds instead.
   ks::AdmissionController::Ticket cold;

@@ -348,3 +348,62 @@ TEST(Serve, ServeCommandRejectsUnknownFlagsWithSuggestion) {
   EXPECT_NE(result.err.find("--prot"), std::string::npos);
   EXPECT_NE(result.err.find("--port"), std::string::npos) << result.err;
 }
+
+namespace {
+
+/// Every leaf of `node` as "a.b.c:type", in key order.
+void collect_key_paths(const ku::Json& node, const std::string& prefix,
+                       std::vector<std::string>& out) {
+  if (node.is_object()) {
+    for (const auto& [key, child] : node.as_object()) {
+      collect_key_paths(child, prefix.empty() ? key : prefix + "." + key, out);
+    }
+    return;
+  }
+  const char* type = node.is_bool() ? "bool" : node.is_number() ? "number"
+                     : node.is_string() ? "string" : "other";
+  out.push_back(prefix + ":" + type);
+}
+
+}  // namespace
+
+// The /v1/stats document is an interface: dashboards and the benchmark
+// driver read keys such as cache.hits and robustness.shed by name, so a
+// renamed or dropped counter must fail here, not in a consumer.
+TEST(Serve, StatsDocumentKeepsItsKeyPaths) {
+  ks::Server server(ks::ServeOptions{});
+  ASSERT_EQ(server.handle(post("/v1/whatif", kSmallScenario)).status, 200);
+  std::vector<std::string> paths;
+  collect_key_paths(ku::Json::parse(server.handle(get("/v1/stats")).body), "", paths);
+  const std::vector<std::string> expected = {
+      "api:string",
+      "cache.capacity:number",
+      "cache.entries:number",
+      "cache.hits:number",
+      "cache.misses:number",
+      "errors:number",
+      "models.loads:number",
+      "models.max_resident:number",
+      "models.registered:number",
+      "models.resident:number",
+      "requests:number",
+      "robustness.admitted:number",
+      "robustness.deadline_expired:number",
+      "robustness.overloaded:bool",
+      "robustness.queue.capacity:number",
+      "robustness.queue.in_flight_cost:number",
+      "robustness.queue.policy:string",
+      "robustness.queue.shed_threshold:number",
+      "robustness.rejected:number",
+      "robustness.shed:number",
+      "robustness.transport.accepted:number",
+      "robustness.transport.body_timeouts:number",
+      "robustness.transport.early_disconnects:number",
+      "robustness.transport.header_timeouts:number",
+      "robustness.transport.malformed:number",
+      "robustness.transport.oversized:number",
+      "robustness.transport.rejected_pending:number",
+      "robustness.transport.write_aborts:number",
+  };
+  EXPECT_EQ(paths, expected);
+}
