@@ -22,13 +22,6 @@ auto parse_with(const std::string& file, Read read) {
   return result;
 }
 
-/// True when `doc` is an object; records the defect otherwise.
-bool check_object(const util::Json& doc, const std::string& key, FieldReader& reader) {
-  if (doc.is_object()) return true;
-  reader.error(key.empty() ? "$" : key, "must be a JSON object");
-  return false;
-}
-
 /// The member object `field` of `doc`; an empty object after recording the
 /// defect when it is missing or not an object.
 util::Json object_field(const util::Json& doc, const std::string& field, const std::string& key,
@@ -38,19 +31,8 @@ util::Json object_field(const util::Json& doc, const std::string& field, const s
     reader.error(path, "missing required object");
     return util::Json::object();
   }
-  if (!check_object(doc.at(field), path, reader)) return util::Json::object();
+  if (!reader.object(doc.at(field), path)) return util::Json::object();
   return doc.at(field);
-}
-
-/// "api" is optional (v1 implied) but, when present, must name a version
-/// this build speaks — a v2 client gets a crisp rejection, not a misparse.
-void check_api_version(const util::Json& doc, const std::string& file) {
-  if (!doc.contains("api")) return;
-  const auto& api = doc.at("api");
-  if (!api.is_string() || api.as_string() != kApiVersionString) {
-    throw SpecError(file, "api", "unsupported API version",
-                    std::string("this build speaks \"") + kApiVersionString + "\"");
-  }
 }
 
 hadoop::ClusterConfig read_cluster_field(const util::Json& doc, FieldReader& reader) {
@@ -72,7 +54,7 @@ gen::Scenario read_gen_scenario(const util::Json& doc, const std::string& key,
 core::ReproduceSpec read_reproduce_spec(const util::Json& doc, const std::string& key,
                                         FieldReader& reader) {
   core::ReproduceSpec spec;
-  if (!check_object(doc, key, reader)) return spec;
+  if (!reader.object(doc, key)) return spec;
   spec.scenario = read_gen_scenario(object_field(doc, "scenario", key, reader),
                                     FieldReader::path(key, "scenario"), reader);
   spec.seed = reader.count(doc, key, "seed", 1);
@@ -84,7 +66,7 @@ core::ReproduceSpec read_reproduce_spec(const util::Json& doc, const std::string
 core::ValidateSpec read_validate_spec(const util::Json& doc, const std::string& key,
                                       FieldReader& reader) {
   core::ValidateSpec spec;
-  if (!check_object(doc, key, reader)) return spec;
+  if (!reader.object(doc, key)) return spec;
   spec.seed = reader.count(doc, key, "seed", 1);
   spec.repetitions = reader.count(doc, key, "repetitions", 1, 1, "must be >= 1");
   spec.threads = reader.count(doc, key, "threads", 0);
@@ -130,7 +112,7 @@ core::CaptureSpec parse_capture_spec(const util::Json& doc, const std::string& f
                                      const std::string& key) {
   return parse_with(file, [&](FieldReader& reader) {
     core::CaptureSpec spec;
-    if (!check_object(doc, key, reader)) return spec;
+    if (!reader.object(doc, key)) return spec;
     const std::string workload = reader.string(doc, key, "workload", "sort");
     try {
       spec.workload = workloads::workload_from_name(workload);
@@ -214,9 +196,7 @@ util::Json validate_spec_to_json(const core::ValidateSpec& spec) {
 WhatIfRequest read_whatif_request(const util::Json& doc, const std::string& file,
                                  std::vector<util::Diagnostic>& out) {
   FieldReader reader(file, out);
-  WhatIfRequest request{core::read_scenario(doc, reader)};
-  if (reader.errors() == 0) check_api_version(doc, file);
-  return request;
+  return WhatIfRequest{core::read_scenario(doc, reader)};
 }
 
 WhatIfRequest parse_whatif_request(const util::Json& doc, const std::string& file) {
@@ -229,10 +209,10 @@ WhatIfRequest parse_whatif_request(const util::Json& doc, const std::string& fil
 }
 
 ReproduceRequest parse_reproduce_request(const util::Json& doc, const std::string& file) {
-  check_api_version(doc, file);
   return parse_with(file, [&](FieldReader& reader) {
     ReproduceRequest request;
-    if (!check_object(doc, "", reader)) return request;
+    core::read_api_tag(doc, reader);
+    if (!reader.object(doc, "")) return request;
     request.model = reader.string(doc, "", "model", "");
     if (request.model.empty()) {
       reader.error("model", "missing required model name",
@@ -257,10 +237,10 @@ util::Json reproduce_request_to_json(const ReproduceRequest& request) {
 }
 
 ValidateRequest parse_validate_request(const util::Json& doc, const std::string& file) {
-  check_api_version(doc, file);
   return parse_with(file, [&](FieldReader& reader) {
     ValidateRequest request;
-    if (!check_object(doc, "", reader)) return request;
+    core::read_api_tag(doc, reader);
+    if (!reader.object(doc, "")) return request;
     request.model = reader.string(doc, "", "model", "");
     if (request.model.empty()) reader.error("model", "missing required model name");
     request.run = reader.string(doc, "", "run", "");

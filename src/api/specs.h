@@ -31,9 +31,10 @@
 
 namespace keddah::api {
 
-/// Wire-format major version. Bump on any incompatible schema change.
-inline constexpr int kApiVersion = 1;
-inline constexpr const char* kApiVersionString = "v1";
+/// Wire-format major version (defined beside the scenario reader, which
+/// checks it).
+using core::kApiVersion;
+using core::kApiVersionString;
 
 /// A field-level request defect: which document, which JSON key path, what
 /// is wrong, and (optionally) how to fix it. what() renders the lint-style
@@ -88,9 +89,8 @@ struct WhatIfRequest {
   core::ScenarioSpec scenario;
 };
 /// Reads a request body, recording every scenario defect in `out` with
-/// core::read_scenario (keddah-lint's rules and wording); the request is
-/// meaningful only when `out` holds no error. A clean scenario with an
-/// unsupported "api" version throws SpecError.
+/// core::read_scenario (keddah-lint's rules and wording, the "api" tag
+/// included); the request is meaningful only when `out` holds no error.
 WhatIfRequest read_whatif_request(const util::Json& doc, const std::string& file,
                                   std::vector<util::Diagnostic>& out);
 /// read_whatif_request that throws SpecError from the first error.

@@ -530,13 +530,14 @@ std::string usage() {
       "             file (numbered subdirectories with several files).\n"
       "             --file FILE[,FILE...] [--threads N] [--json]\n"
       "             [--trace-out FILE] [--history-out FILE] [--spill-dir DIR]\n"
-      "  serve      resident what-if daemon: keeps models hot, answers\n"
-      "             Spec-API queries over HTTP (/v1/health /v1/stats\n"
-      "             /v1/whatif /v1/reproduce /v1/validate /v1/shutdown),\n"
-      "             and caches responses by request content hash.\n"
+      "  serve      resident what-if daemon: parses its models once at boot\n"
+      "             (a defective model stops the boot), answers Spec-API\n"
+      "             queries over HTTP (/v1/health /v1/stats /v1/whatif\n"
+      "             /v1/reproduce /v1/validate /v1/shutdown), and caches\n"
+      "             responses by request content hash.\n"
       "             [--port N (0 = ephemeral)] [--threads N]\n"
       "             [--models FILE,FILE...] [--model-bank FILE]\n"
-      "             [--max-models N] [--cache-entries N]\n"
+      "             [--cache-entries N]\n"
       "  analyze    characterize a captured trace (classes, fits, hotspots,\n"
       "             temporal profile; attribution when a history is given)\n"
       "             --trace FILE [--history FILE] [--hosts N]\n"

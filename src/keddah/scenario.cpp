@@ -64,6 +64,14 @@ void read_jobs(const util::Json& doc, double horizon, util::FieldReader& reader,
 
 }  // namespace
 
+void read_api_tag(const util::Json& doc, util::FieldReader& reader) {
+  if (doc.contains("api") &&
+      !(doc.at("api").is_string() && doc.at("api").as_string() == kApiVersionString)) {
+    reader.error("api", "unsupported API version",
+                 std::string("this build speaks \"") + kApiVersionString + "\"");
+  }
+}
+
 ScenarioSpec read_scenario(const util::Json& doc, util::FieldReader& reader) {
   ScenarioSpec spec;
   spec.cluster = hadoop::default_scenario_cluster();
@@ -76,6 +84,7 @@ ScenarioSpec read_scenario(const util::Json& doc, util::FieldReader& reader) {
   // version.
   reader.unknown_keys(
       doc, "", {"api", "seed", "threads", "cluster", "jobs", "faults", "failures", "horizon"});
+  read_api_tag(doc, reader);
   spec.seed = reader.count(doc, "", "seed", spec.seed, 0, "must be >= 0");
   spec.threads = reader.count(doc, "", "threads", spec.threads, 0, "must be >= 0 (0 = serial)");
   const double horizon = reader.number(doc, "", "horizon", 0.0);

@@ -6,6 +6,8 @@
 //
 // Schema (all fields optional unless noted):
 //   {
+//     "api": "v1",                   // Spec-API wire tag (api/specs.h); any
+//                                    // other version is rejected
 //     "seed": 42,
 //     "threads": 0,                  // worker threads when this scenario is
 //                                    // part of a batch sweep (run_scenarios /
@@ -57,6 +59,17 @@
 
 namespace keddah::core {
 
+/// Spec-API wire-format major version (api/specs.h). Bump on any
+/// incompatible schema change. It lives here so the scenario reader, which
+/// every /v1/whatif body goes through, can check the "api" tag.
+inline constexpr int kApiVersion = 1;
+inline constexpr const char* kApiVersionString = "v1";
+
+/// The optional "api" tag of a Spec-API document (v1 implied when absent):
+/// any other value records "unsupported API version", so a v2 client gets a
+/// crisp rejection rather than a misparse.
+void read_api_tag(const util::Json& doc, util::FieldReader& reader);
+
 /// Parsed scenario description.
 struct ScenarioSpec {
   hadoop::ClusterConfig cluster;
@@ -91,9 +104,9 @@ struct ScenarioSpec {
 /// and top-level rules live here, the cluster rules in
 /// hadoop::read_cluster_config and the fault rules in
 /// hadoop::read_fault_plan. keddah-lint, the serve daemon and
-/// parse_scenario all run this one read, so they agree on every document
-/// (the daemon also gates the "api" wire tag). The returned spec is
-/// meaningful only when no error was recorded.
+/// parse_scenario all run this one read, so they agree on every document,
+/// including its "api" wire tag. The returned spec is meaningful only when
+/// no error was recorded.
 ScenarioSpec read_scenario(const util::Json& doc, util::FieldReader& reader);
 
 /// read_scenario that throws std::invalid_argument with the first error,

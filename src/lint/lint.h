@@ -4,17 +4,16 @@
 // JSON key path, what is wrong, and how to fix it, so a scenario author can
 // repair a file in one pass without running anything.
 //
-// Scenarios and fault plans have no lint-only rules: lint_scenario and
-// lint_fault_plan run the same validating read (util::FieldReader) that
-// core::parse_scenario and hadoop::parse_fault_plan run, and report every
-// diagnostic where the parsers throw the first. A scenario lints without
-// errors exactly when `keddah run-scenario` accepts it, and `keddah serve`
-// too unless its "api" wire tag names another version. The rules
-// live with their schema (DESIGN.md §"Static checks"): cluster rules in
-// hadoop/config_json, fault rules in hadoop/faults, job and top-level rules
-// in keddah/scenario. Model files, which the toolchain writes itself, are
-// checked here: fitted ECDFs must be non-decreasing and distribution
-// parameters finite and within their family's domain.
+// keddah-lint has no rules of its own: each linter runs the validating read
+// (util::FieldReader) that the matching loader runs, and reports every
+// diagnostic where the loader throws the first. lint_scenario and
+// lint_fault_plan share core::parse_scenario's and hadoop::parse_fault_plan's
+// reads; lint_model and lint_model_bank share model::read_model and
+// model::read_model_bank with KeddahModel::load, ModelBank::load and
+// `keddah serve`. A document lints without errors exactly when its loader
+// accepts it. The rules live with their schema (DESIGN.md §"Static checks"):
+// cluster rules in hadoop/config_json, fault rules in hadoop/faults, job and
+// top-level rules in keddah/scenario, model rules in model/ and stats/.
 #pragma once
 
 #include <iosfwd>

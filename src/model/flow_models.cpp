@@ -2,8 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+
+#include "util/field_reader.h"
+#include "util/strings.h"
 
 namespace keddah::model {
+
+using util::FieldReader;
 
 namespace {
 
@@ -23,11 +29,44 @@ util::Json ecdf_to_json(const stats::Ecdf& ecdf, std::size_t cap = 512) {
   return arr;
 }
 
-stats::Ecdf ecdf_from_json(const util::Json& arr) {
+/// An ECDF serialized as its sample values: every entry finite and the
+/// sequence non-decreasing (quantile lookups binary-search it).
+stats::Ecdf read_ecdf(const util::Json& arr, const std::string& key, FieldReader& reader) {
+  if (!arr.is_array()) {
+    reader.error(key, "must be an array of sorted sample values");
+    return {};
+  }
   std::vector<double> values;
   values.reserve(arr.size());
-  for (const auto& v : arr.as_array()) values.push_back(v.as_number());
+  for (const auto& v : arr.as_array()) {
+    if (!FieldReader::finite_number(v)) {
+      reader.error(util::format("%s[%zu]", key.c_str(), values.size()),
+                   "ECDF sample must be a finite number (NaN/inf serializes as null)");
+      return {};
+    }
+    if (!values.empty() && v.as_number() < values.back()) {
+      reader.error(util::format("%s[%zu]", key.c_str(), values.size()),
+                   util::format("ECDF is not non-decreasing: %g after %g", v.as_number(),
+                                values.back()),
+                   "re-sort the samples; quantile lookups binary-search this array");
+      return {};
+    }
+    values.push_back(v.as_number());
+  }
   return stats::Ecdf(values);
+}
+
+/// The required object member `key` of `doc`, read by `read` at its key
+/// path; a missing member is an error.
+template <typename Read>
+auto read_required(const util::Json& doc, const std::string& prefix, const char* key,
+                   FieldReader& reader, Read read) {
+  const std::string path = FieldReader::path(prefix, key);
+  if (!doc.contains(key)) {
+    reader.error(path, "missing required object");
+    return decltype(read(doc, path, reader)){};
+  }
+  return read(doc.at(key), path, reader);
 }
 
 }  // namespace
@@ -63,16 +102,37 @@ util::Json SizeModel::to_json() const {
   return doc;
 }
 
-SizeModel SizeModel::from_json(const util::Json& doc) {
+SizeModel read_size_model(const util::Json& doc, const std::string& prefix,
+                          FieldReader& reader) {
   SizeModel m;
+  if (!reader.object(doc, prefix, "must be an object")) return m;
   if (doc.contains("parametric")) {
-    m.parametric = stats::Distribution::from_json(doc.at("parametric"));
+    m.parametric = stats::read_distribution(doc.at("parametric"),
+                                            FieldReader::path(prefix, "parametric"), reader);
   }
-  m.ks = doc.get_number("ks", 1.0);
-  m.ks_pvalue = doc.get_number("ks_pvalue", 0.0);
-  m.kind = doc.get_string("kind", "parametric") == "empirical" ? SizeModelKind::kEmpirical
-                                                               : SizeModelKind::kParametric;
-  if (doc.contains("empirical")) m.empirical = ecdf_from_json(doc.at("empirical"));
+  m.ks = reader.number(doc, prefix, "ks", 1.0);
+  if (m.ks < 0.0 || m.ks > 1.0) {
+    reader.error(FieldReader::path(prefix, "ks"), "a KS distance lies in [0, 1]");
+  }
+  m.ks_pvalue = reader.number(doc, prefix, "ks_pvalue", 0.0);
+  if (m.ks_pvalue < 0.0 || m.ks_pvalue > 1.0) {
+    reader.error(FieldReader::path(prefix, "ks_pvalue"), "a p-value lies in [0, 1]");
+  }
+  const std::string kind = reader.string(doc, prefix, "kind", "parametric");
+  if (kind == "empirical") {
+    m.kind = SizeModelKind::kEmpirical;
+  } else if (kind != "parametric") {
+    reader.error(FieldReader::path(prefix, "kind"), "unknown size-model kind '" + kind + "'",
+                 "one of: parametric, empirical");
+  }
+  const std::size_t before = reader.errors();
+  if (doc.contains("empirical")) {
+    m.empirical = read_ecdf(doc.at("empirical"), FieldReader::path(prefix, "empirical"), reader);
+  }
+  if (kind == "empirical" && !m.trained() && reader.errors() == before) {
+    reader.error(FieldReader::path(prefix, "empirical"),
+                 "kind is \"empirical\" but the sample array is empty");
+  }
   return m;
 }
 
@@ -88,10 +148,12 @@ util::Json CountModel::to_json() const {
   return doc;
 }
 
-CountModel CountModel::from_json(const util::Json& doc) {
+CountModel read_count_model(const util::Json& doc, const std::string& prefix,
+                            FieldReader& reader) {
   CountModel m;
-  m.fit = stats::LinearFit::from_json(doc.at("fit"));
-  m.regressor = doc.get_string("regressor", "x");
+  if (!reader.object(doc, prefix, "must be an object")) return m;
+  m.fit = read_required(doc, prefix, "fit", reader, stats::read_linear_fit);
+  m.regressor = reader.string(doc, prefix, "regressor", "x");
   return m;
 }
 
@@ -110,11 +172,26 @@ util::Json TemporalModel::to_json() const {
   return doc;
 }
 
-TemporalModel TemporalModel::from_json(const util::Json& doc) {
+TemporalModel read_temporal_model(const util::Json& doc, const std::string& prefix,
+                                  FieldReader& reader) {
   TemporalModel m;
-  if (doc.contains("offsets")) m.normalized_offsets = ecdf_from_json(doc.at("offsets"));
-  m.phase_start_frac = doc.get_number("phase_start_frac", 0.0);
-  m.phase_end_frac = doc.get_number("phase_end_frac", 1.0);
+  if (!reader.object(doc, prefix, "must be an object")) return m;
+  if (doc.contains("offsets")) {
+    m.normalized_offsets =
+        read_ecdf(doc.at("offsets"), FieldReader::path(prefix, "offsets"), reader);
+  }
+  m.phase_start_frac = reader.number(doc, prefix, "phase_start_frac", 0.0);
+  m.phase_end_frac = reader.number(doc, prefix, "phase_end_frac", 1.0);
+  for (const auto& [key, frac] : {std::pair{"phase_start_frac", m.phase_start_frac},
+                                  std::pair{"phase_end_frac", m.phase_end_frac}}) {
+    if (frac < 0.0 || frac > 1.0) {
+      reader.error(FieldReader::path(prefix, key), "phase fraction must be in [0, 1]");
+    }
+  }
+  if (m.phase_start_frac > m.phase_end_frac) {
+    reader.error(FieldReader::path(prefix, "phase_start_frac"), "phase starts after it ends",
+                 "swap phase_start_frac and phase_end_frac");
+  }
   return m;
 }
 
@@ -128,13 +205,20 @@ util::Json ClassModel::to_json() const {
   return doc;
 }
 
-ClassModel ClassModel::from_json(const util::Json& doc) {
+ClassModel read_class_model(const util::Json& doc, const std::string& prefix,
+                            FieldReader& reader) {
   ClassModel m;
-  m.size = SizeModel::from_json(doc.at("size"));
-  m.count = CountModel::from_json(doc.at("count"));
-  m.temporal = TemporalModel::from_json(doc.at("temporal"));
-  m.training_flows = static_cast<std::size_t>(doc.get_number("training_flows", 0.0));
-  m.training_bytes = doc.get_number("training_bytes", 0.0);
+  if (!reader.object(doc, prefix, "must be an object {size, count, temporal, ...}")) return m;
+  reader.unknown_keys(doc, prefix,
+                      {"size", "count", "temporal", "training_flows", "training_bytes"});
+  m.size = read_required(doc, prefix, "size", reader, read_size_model);
+  m.count = read_required(doc, prefix, "count", reader, read_count_model);
+  m.temporal = read_required(doc, prefix, "temporal", reader, read_temporal_model);
+  m.training_flows = reader.count(doc, prefix, "training_flows", 0);
+  m.training_bytes = reader.number(doc, prefix, "training_bytes", 0.0);
+  if (m.training_bytes < 0.0) {
+    reader.error(FieldReader::path(prefix, "training_bytes"), "must be >= 0");
+  }
   return m;
 }
 

@@ -4,6 +4,11 @@
 // one job type. It is trained from captured traces (model/builder.h) and
 // sampled by the generator (gen/generator.h). Size models keep both the
 // best parametric fit and the empirical CDF so generation can use either.
+//
+// Each block serializes with to_json and reads back with its read_*
+// function, which records every defect in a util::FieldReader under the
+// block's key path (`prefix`) instead of throwing; KeddahModel::from_json
+// and keddah-lint both run these reads.
 #pragma once
 
 #include <optional>
@@ -15,6 +20,10 @@
 #include "stats/regression.h"
 #include "util/json.h"
 #include "util/rng.h"
+
+namespace keddah::util {
+class FieldReader;
+}
 
 namespace keddah::model {
 
@@ -41,7 +50,6 @@ struct SizeModel {
   bool trained() const { return !empirical.empty(); }
 
   util::Json to_json() const;
-  static SizeModel from_json(const util::Json& doc);
 };
 
 /// Flow-count model: a structural law calibrated by regression.
@@ -61,7 +69,6 @@ struct CountModel {
   std::size_t predict(double x) const;
 
   util::Json to_json() const;
-  static CountModel from_json(const util::Json& doc);
 };
 
 /// Flow arrival model. Each traffic class is active during a phase of the
@@ -82,7 +89,6 @@ struct TemporalModel {
   bool trained() const { return !normalized_offsets.empty(); }
 
   util::Json to_json() const;
-  static TemporalModel from_json(const util::Json& doc);
 };
 
 /// The full per-class model.
@@ -95,7 +101,23 @@ struct ClassModel {
   double training_bytes = 0.0;
 
   util::Json to_json() const;
-  static ClassModel from_json(const util::Json& doc);
 };
+
+/// {parametric?, ks, ks_pvalue, kind, empirical}: KS values in [0, 1], a
+/// known kind, and a sorted finite ECDF; kind "empirical" needs samples. A
+/// "parametric" block without a distribution samples its ECDF (sample()).
+SizeModel read_size_model(const util::Json& doc, const std::string& prefix,
+                          util::FieldReader& reader);
+/// {fit, regressor}; the fit is required.
+CountModel read_count_model(const util::Json& doc, const std::string& prefix,
+                            util::FieldReader& reader);
+/// {offsets, phase_start_frac, phase_end_frac}: a sorted finite ECDF and
+/// an ordered phase inside [0, 1].
+TemporalModel read_temporal_model(const util::Json& doc, const std::string& prefix,
+                                  util::FieldReader& reader);
+/// {size, count, temporal, training_flows, training_bytes}; the three
+/// component blocks are required.
+ClassModel read_class_model(const util::Json& doc, const std::string& prefix,
+                            util::FieldReader& reader);
 
 }  // namespace keddah::model

@@ -1,7 +1,12 @@
 #include "model/keddah_model.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <vector>
+
+#include "util/field_reader.h"
+#include "util/strings.h"
 
 namespace keddah::model {
 
@@ -16,14 +21,34 @@ util::Json TrainingContext::to_json() const {
   return doc;
 }
 
-TrainingContext TrainingContext::from_json(const util::Json& doc) {
+TrainingContext read_training_context(const util::Json& doc, const std::string& prefix,
+                                      util::FieldReader& reader) {
+  using util::FieldReader;
   TrainingContext ctx;
-  ctx.block_size = static_cast<std::uint64_t>(doc.get_number("block_size", 0.0));
-  ctx.replication = static_cast<std::uint32_t>(doc.get_number("replication", 0.0));
-  ctx.cluster_nodes = static_cast<std::size_t>(doc.get_number("cluster_nodes", 0.0));
-  ctx.num_runs = static_cast<std::size_t>(doc.get_number("num_runs", 0.0));
-  ctx.min_input_bytes = doc.get_number("min_input_bytes", 0.0);
-  ctx.max_input_bytes = doc.get_number("max_input_bytes", 0.0);
+  if (!reader.object(doc, prefix, "must be an object")) return ctx;
+  reader.unknown_keys(doc, prefix,
+                      {"block_size", "replication", "cluster_nodes", "num_runs",
+                       "min_input_bytes", "max_input_bytes"});
+  ctx.block_size = reader.count(doc, prefix, "block_size", 0);
+  const std::size_t before = reader.errors();
+  const std::uint64_t replication = reader.count(doc, prefix, "replication", 0);
+  ctx.cluster_nodes = reader.count(doc, prefix, "cluster_nodes", 0);
+  if (reader.errors() == before && ctx.cluster_nodes > 0 && replication > ctx.cluster_nodes) {
+    reader.error(FieldReader::path(prefix, "replication"),
+                 util::format("replication %g exceeds the training cluster size (%g nodes)",
+                              static_cast<double>(replication),
+                              static_cast<double>(ctx.cluster_nodes)),
+                 "the model was trained under an impossible configuration; retrain");
+  } else if (replication > std::numeric_limits<std::uint32_t>::max()) {
+    reader.error(FieldReader::path(prefix, "replication"), "must be at most 4294967295");
+  }
+  ctx.replication = static_cast<std::uint32_t>(replication);
+  ctx.num_runs = reader.count(doc, prefix, "num_runs", 0);
+  ctx.min_input_bytes = reader.number(doc, prefix, "min_input_bytes", 0.0);
+  ctx.max_input_bytes = reader.number(doc, prefix, "max_input_bytes", 0.0);
+  if (ctx.min_input_bytes > ctx.max_input_bytes) {
+    reader.error(FieldReader::path(prefix, "min_input_bytes"), "training input range is inverted");
+  }
   return ctx;
 }
 
@@ -73,29 +98,70 @@ util::Json KeddahModel::to_json() const {
   return doc;
 }
 
-KeddahModel KeddahModel::from_json(const util::Json& doc) {
+KeddahModel read_model(const util::Json& doc, util::FieldReader& reader,
+                       const std::string& prefix) {
+  using util::FieldReader;
   KeddahModel m;
-  m.job_name_ = doc.get_string("job_name", "");
-  if (doc.contains("context")) m.context_ = TrainingContext::from_json(doc.at("context"));
+  if (!reader.object(doc, prefix, "a model must be a JSON object")) return m;
+  reader.unknown_keys(doc, prefix,
+                      {"job_name", "context", "duration_vs_input", "classes", "volume_vs_input"});
+  const std::string name = doc.get_string("job_name", "");
+  if (name.empty()) {
+    reader.error(FieldReader::path(prefix, "job_name"), "missing or empty job name",
+                 "name the workload the model was trained on");
+  }
+  m.set_job_name(name);
+  if (doc.contains("context")) {
+    m.context() = read_training_context(doc.at("context"), FieldReader::path(prefix, "context"),
+                                        reader);
+  }
   if (doc.contains("duration_vs_input")) {
-    m.duration_vs_input_ = stats::LinearFit::from_json(doc.at("duration_vs_input"));
+    m.duration_model() = stats::read_linear_fit(
+        doc.at("duration_vs_input"), FieldReader::path(prefix, "duration_vs_input"), reader);
   }
-  for (std::size_t i = 0; i < kModelledClasses.size(); ++i) {
-    const char* key = net::flow_kind_name(kModelledClasses[i]);
-    if (doc.contains("classes") && doc.at("classes").contains(key)) {
-      m.classes_[i] = ClassModel::from_json(doc.at("classes").at(key));
+  // Both per-class maps take the modelled class names; other keys are
+  // reported and skipped.
+  const auto read_classes = [&](const char* field, const char* message, auto read) {
+    if (!doc.contains(field)) return;
+    const std::string map_path = FieldReader::path(prefix, field);
+    if (!reader.object(doc.at(field), map_path, message)) return;
+    for (const auto& [key, block] : doc.at(field).as_object()) {
+      const auto kind = std::find_if(kModelledClasses.begin(), kModelledClasses.end(),
+                                     [&](net::FlowKind k) { return key == net::flow_kind_name(k); });
+      if (kind == kModelledClasses.end()) {
+        std::vector<std::string> names;
+        for (const net::FlowKind k : kModelledClasses) names.emplace_back(net::flow_kind_name(k));
+        reader.warning(FieldReader::path(map_path, key),
+                       "unknown traffic class (the loader ignores it)",
+                       "one of: " + util::join(names, ", "));
+        continue;
+      }
+      read(*kind, block, FieldReader::path(map_path, key));
     }
-    if (doc.contains("volume_vs_input") && doc.at("volume_vs_input").contains(key)) {
-      m.volume_vs_input_[i] = stats::LinearFit::from_json(doc.at("volume_vs_input").at(key));
-    }
-  }
+  };
+  read_classes("classes", "must map class names to class models",
+               [&](net::FlowKind kind, const util::Json& block, const std::string& path) {
+                 m.class_model(kind) = read_class_model(block, path, reader);
+               });
+  read_classes("volume_vs_input", "must map class names to linear fits",
+               [&](net::FlowKind kind, const util::Json& block, const std::string& path) {
+                 m.volume_model(kind) = stats::read_linear_fit(block, path, reader);
+               });
   return m;
+}
+
+KeddahModel KeddahModel::from_json(const util::Json& doc, const std::string& context) {
+  std::vector<util::Diagnostic> diagnostics;
+  util::FieldReader reader(context, diagnostics);
+  KeddahModel model = read_model(doc, reader);
+  reader.throw_first_error();
+  return model;
 }
 
 void KeddahModel::save(const std::string& path) const { to_json().save_file(path); }
 
 KeddahModel KeddahModel::load(const std::string& path) {
-  return from_json(util::Json::load_file(path));
+  return from_json(util::Json::load_file(path), path);
 }
 
 }  // namespace keddah::model

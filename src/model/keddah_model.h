@@ -1,7 +1,9 @@
 // KeddahModel: the trained traffic model of one MapReduce job family under
 // one cluster configuration — Keddah's primary artefact. It bundles the
 // four per-class component models with job-level scaling laws, and can be
-// persisted to JSON for use by separate replay/what-if tools.
+// persisted to JSON for use by separate replay/what-if tools. read_model is
+// the one rule set for model documents: the loaders, keddah-lint and the
+// serve daemon all read through it.
 #pragma once
 
 #include <array>
@@ -12,6 +14,10 @@
 #include "stats/regression.h"
 #include "util/json.h"
 
+namespace keddah::util {
+class FieldReader;
+}
+
 namespace keddah::model {
 
 /// Traffic classes Keddah models (control is modelled, "other" is not).
@@ -21,7 +27,7 @@ inline constexpr std::array<net::FlowKind, 4> kModelledClasses = {
 
 /// Summary of the configuration the model was trained under; generation for
 /// materially different configurations is extrapolation and is reported as
-/// such.
+/// such. A zero block size, replication or node count means "unknown".
 struct TrainingContext {
   std::uint64_t block_size = 0;
   std::uint32_t replication = 0;
@@ -31,7 +37,6 @@ struct TrainingContext {
   double max_input_bytes = 0.0;
 
   util::Json to_json() const;
-  static TrainingContext from_json(const util::Json& doc);
 };
 
 /// The full per-job-type traffic model.
@@ -65,8 +70,11 @@ class KeddahModel {
   double predict_volume(net::FlowKind kind, double input_bytes) const;
 
   util::Json to_json() const;
-  static KeddahModel from_json(const util::Json& doc);
+  /// read_model that throws std::invalid_argument with the first error,
+  /// "<context>: <key path>: <message> (<hint>)".
+  static KeddahModel from_json(const util::Json& doc, const std::string& context = "model");
   void save(const std::string& path) const;
+  /// Loads and reads a model file; errors name the file.
   static KeddahModel load(const std::string& path);
 
  private:
@@ -78,5 +86,18 @@ class KeddahModel {
   std::array<stats::LinearFit, kModelledClasses.size()> volume_vs_input_;
   stats::LinearFit duration_vs_input_;
 };
+
+/// {block_size, replication, cluster_nodes, num_runs, min_input_bytes,
+/// max_input_bytes}: counts are non-negative integers, replication fits
+/// the known cluster, and the input range is ordered.
+TrainingContext read_training_context(const util::Json& doc, const std::string& prefix,
+                                      util::FieldReader& reader);
+
+/// Reads a model document, recording every defect in `reader` under key
+/// paths rooted at `prefix` ("models[2]" for a bank entry). A model needs a
+/// job name; class blocks outside kModelledClasses draw a warning and are
+/// ignored. The result is meaningful only when no error was recorded.
+KeddahModel read_model(const util::Json& doc, util::FieldReader& reader,
+                       const std::string& prefix = "");
 
 }  // namespace keddah::model

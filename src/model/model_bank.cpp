@@ -4,6 +4,9 @@
 #include <cmath>
 #include <set>
 
+#include "util/field_reader.h"
+#include "util/strings.h"
+
 namespace keddah::model {
 
 void ModelBank::add(KeddahModel model) {
@@ -72,18 +75,31 @@ util::Json ModelBank::to_json() const {
   return doc;
 }
 
-ModelBank ModelBank::from_json(const util::Json& doc) {
+ModelBank read_model_bank(const util::Json& doc, util::FieldReader& reader) {
   ModelBank bank;
-  for (const auto& entry : doc.at("models").as_array()) {
-    bank.add(KeddahModel::from_json(entry));
+  if (!doc.is_object() || !doc.contains("models") || !doc.at("models").is_array()) {
+    reader.error("models", "a model bank is an object with a 'models' array");
+    return bank;
   }
+  const auto& models = doc.at("models").as_array();
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    bank.add(read_model(models[i], reader, util::format("models[%zu]", i)));
+  }
+  return bank;
+}
+
+ModelBank ModelBank::from_json(const util::Json& doc, const std::string& context) {
+  std::vector<util::Diagnostic> diagnostics;
+  util::FieldReader reader(context, diagnostics);
+  ModelBank bank = read_model_bank(doc, reader);
+  reader.throw_first_error();
   return bank;
 }
 
 void ModelBank::save(const std::string& path) const { to_json().save_file(path); }
 
 ModelBank ModelBank::load(const std::string& path) {
-  return from_json(util::Json::load_file(path));
+  return from_json(util::Json::load_file(path), path);
 }
 
 }  // namespace keddah::model

@@ -22,6 +22,8 @@ class ModelBank {
   void add(KeddahModel model);
 
   std::size_t size() const { return models_.size(); }
+  /// The i-th model, in insertion (document) order.
+  const KeddahModel& at(std::size_t i) const { return *models_.at(i); }
   bool empty() const { return models_.empty(); }
 
   /// Distinct job names present, sorted.
@@ -48,7 +50,9 @@ class ModelBank {
                                 std::uint32_t replication, std::size_t cluster_nodes);
 
   util::Json to_json() const;
-  static ModelBank from_json(const util::Json& doc);
+  /// read_model_bank that throws std::invalid_argument with the first
+  /// error.
+  static ModelBank from_json(const util::Json& doc, const std::string& context = "model bank");
   void save(const std::string& path) const;
   static ModelBank load(const std::string& path);
 
@@ -57,5 +61,9 @@ class ModelBank {
   // across add() calls.
   std::vector<std::unique_ptr<KeddahModel>> models_;
 };
+
+/// Reads {"models": [model, ...]}: each entry through read_model under the
+/// key path "models[i]".
+ModelBank read_model_bank(const util::Json& doc, util::FieldReader& reader);
 
 }  // namespace keddah::model

@@ -9,8 +9,10 @@
 #include "api/specs.h"
 #include "keddah/scenario.h"
 #include "keddah/toolchain.h"
+#include "model/model_bank.h"
 #include "util/args.h"
 #include "util/diagnostic.h"
+#include "util/field_reader.h"
 #include "util/strings.h"
 
 namespace keddah::serve {
@@ -118,94 +120,58 @@ AdmissionOptions admission_options_from(const ServeOptions& options) {
 
 Server::Server(ServeOptions options)
     : options_(std::move(options)),
+      models_(load_models(options_)),
       http_(http_options_from(options_)),
       admission_(admission_options_from(options_)) {
-  if (options_.max_resident_models == 0) options_.max_resident_models = 1;
   if (options_.max_cache_entries == 0) options_.max_cache_entries = 1;
-  // No request threads exist yet, but registration helpers REQUIRE the
-  // models capability, so hold it for the whole registration pass.
-  util::MutexLock lock(&models_mutex_);
-  for (const auto& path : options_.model_files) {
-    register_model_file(path, /*expect_bank=*/false);
-  }
-  if (!options_.model_bank_file.empty()) {
-    register_model_file(options_.model_bank_file, /*expect_bank=*/true);
-  }
 }
 
-void Server::register_model_file(const std::string& path, bool expect_bank) {
-  const util::Json doc = util::Json::load_file(path);
-  if (doc.is_object() && doc.contains("models")) {
-    const auto& models = doc.at("models").as_array();
-    for (std::size_t i = 0; i < models.size(); ++i) register_model_doc(models[i], path, i);
-    return;
-  }
-  if (expect_bank) {
-    throw std::invalid_argument(path + ": models: missing required array (not a model bank)");
-  }
-  register_model_doc(doc, path, std::nullopt);
+Server::ModelRegistry Server::load_models(const ServeOptions& options) {
+  ModelRegistry models;
+  const auto add = [&](const model::KeddahModel& model, const util::Json& doc) {
+    // Distinct models sharing a job name stay addressable via "#2", "#3", ...
+    std::string name = model.job_name();
+    for (std::size_t n = 2; models.count(name) != 0; ++n) {
+      name = util::format("%s#%zu", model.job_name().c_str(), n);
+    }
+    models.emplace(std::move(name), RegisteredModel{model, fnv1a(doc.dump(-1))});
+  };
+  // A file holding {"models": [...]} registers every bank entry.
+  const auto load = [&](const std::string& path, bool bank) {
+    const util::Json doc = util::Json::load_file(path);
+    std::vector<util::Diagnostic> diagnostics;
+    util::FieldReader reader(path, diagnostics);
+    if (bank || doc.contains("models")) {
+      const model::ModelBank entries = model::read_model_bank(doc, reader);
+      reader.throw_first_error();
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        add(entries.at(i), doc.at("models").at(i));
+      }
+    } else {
+      const model::KeddahModel model = model::read_model(doc, reader);
+      reader.throw_first_error();
+      add(model, doc);
+    }
+  };
+  for (const auto& path : options.model_files) load(path, /*bank=*/false);
+  if (!options.model_bank_file.empty()) load(options.model_bank_file, /*bank=*/true);
+  return models;
 }
 
-void Server::register_model_doc(const util::Json& doc, const std::string& path,
-                                std::optional<std::size_t> bank_index) {
-  std::string name = doc.get_string("job_name", "");
-  if (name.empty()) {
-    throw std::invalid_argument(path + ": job_name: missing required string (not a model)");
-  }
-  // Distinct models sharing a job name stay addressable via "#2", "#3", ...
-  if (registry_.count(name) != 0) {
-    std::size_t n = 2;
-    while (registry_.count(util::format("%s#%zu", name.c_str(), n)) != 0) ++n;
-    name = util::format("%s#%zu", name.c_str(), n);
-  }
-  ModelSource source;
-  source.path = path;
-  source.bank_index = bank_index;
-  source.content_hash = fnv1a(doc.dump(-1));
-  registry_.emplace(std::move(name), std::move(source));
+const Server::RegisteredModel* Server::find_model(const std::string& name) const {
+  const auto it = models_.find(name);
+  return it == models_.end() ? nullptr : &it->second;
 }
 
-std::shared_ptr<const model::KeddahModel> Server::acquire_model(const std::string& name) {
-  util::MutexLock lock(&models_mutex_);
-  const auto reg = registry_.find(name);
-  if (reg == registry_.end()) return nullptr;
-  if (const auto it = resident_.find(name); it != resident_.end()) {
-    model_lru_.splice(model_lru_.begin(), model_lru_, it->second.second);
-    return it->second.first;
-  }
-  const util::Json doc = util::Json::load_file(reg->second.path);
-  const util::Json& node =
-      reg->second.bank_index ? doc.at("models").at(*reg->second.bank_index) : doc;
-  auto loaded = std::make_shared<const model::KeddahModel>(model::KeddahModel::from_json(node));
-  {
-    util::MutexLock stats_lock(&stats_mutex_);
-    ++stats_.model_loads;
-  }
-  model_lru_.push_front(name);
-  resident_[name] = {loaded, model_lru_.begin()};
-  while (resident_.size() > options_.max_resident_models) {
-    resident_.erase(model_lru_.back());
-    model_lru_.pop_back();
-  }
-  return loaded;
-}
-
-std::uint64_t Server::model_hash(const std::string& name) const {
-  util::MutexLock lock(&models_mutex_);
-  const auto it = registry_.find(name);
-  return it == registry_.end() ? 0 : it->second.content_hash;
-}
-
-bool Server::model_registered(const std::string& name) const {
-  util::MutexLock lock(&models_mutex_);
-  return registry_.count(name) != 0;
+HttpResponse Server::unknown_model(const std::string& name) const {
+  return error_response(api::ErrorCode::kNotFound, "unknown model '" + name + "'",
+                        hint_details("registered models: " + util::join(model_names(), ", ")));
 }
 
 std::vector<std::string> Server::model_names() const {
-  util::MutexLock lock(&models_mutex_);
   std::vector<std::string> names;
-  names.reserve(registry_.size());
-  for (const auto& [name, source] : registry_) names.push_back(name);
+  names.reserve(models_.size());
+  for (const auto& [name, entry] : models_) names.push_back(name);
   return names;
 }
 
@@ -222,12 +188,7 @@ ServerStats Server::stats() const {
     stats.cache_entries = cache_.size();
   }
   stats.cache_capacity = options_.max_cache_entries;
-  {
-    util::MutexLock lock(&models_mutex_);
-    stats.models_registered = registry_.size();
-    stats.models_resident = resident_.size();
-  }
-  stats.max_resident_models = options_.max_resident_models;
+  stats.models_registered = models_.size();
   return stats;
 }
 
@@ -401,25 +362,16 @@ HttpResponse Server::handle_reproduce(const HttpRequest& request) {
                           hint_details("the request body must be a JSON reproduce request"));
   }
   const auto reproduce = api::parse_reproduce_request(doc, "request");
-  if (!model_registered(reproduce.model)) {
-    return error_response(api::ErrorCode::kNotFound,
-                          "unknown model '" + reproduce.model + "'",
-                          hint_details("registered models: " + util::join(model_names(), ", ")));
-  }
+  const RegisteredModel* entry = find_model(reproduce.model);
+  if (entry == nullptr) return unknown_model(reproduce.model);
   const std::string canonical = doc.dump(-1);
-  const std::uint64_t key = cache_key("reproduce", canonical, model_hash(reproduce.model));
+  const std::uint64_t key = cache_key("reproduce", canonical, entry->content_hash);
   if (const auto cached = cache_lookup(key)) {
     return HttpResponse{200, "application/json", *cached, 0};
   }
   AdmissionController::Ticket ticket;
   if (auto refused = admit_cold_work(request, &ticket)) return std::move(*refused);
-  const auto model = acquire_model(reproduce.model);
-  if (!model) {
-    return error_response(api::ErrorCode::kNotFound,
-                          "unknown model '" + reproduce.model + "'",
-                          hint_details("registered models: " + util::join(model_names(), ", ")));
-  }
-  const auto result = core::generate_and_replay(*model, reproduce.spec,
+  const auto result = core::generate_and_replay(entry->model, reproduce.spec,
                                                 reproduce.cluster.build_topology());
   const std::string response_body = api::to_body(api::reproduce_response(result));
   cache_store(key, response_body);
@@ -435,24 +387,15 @@ HttpResponse Server::handle_validate(const HttpRequest& request) {
                           hint_details("the request body must be a JSON validate request"));
   }
   const auto validate = api::parse_validate_request(doc, "request");
-  if (!model_registered(validate.model)) {
-    return error_response(api::ErrorCode::kNotFound,
-                          "unknown model '" + validate.model + "'",
-                          hint_details("registered models: " + util::join(model_names(), ", ")));
-  }
+  const RegisteredModel* entry = find_model(validate.model);
+  if (entry == nullptr) return unknown_model(validate.model);
   const std::string canonical = doc.dump(-1);
-  const std::uint64_t key = cache_key("validate", canonical, model_hash(validate.model));
+  const std::uint64_t key = cache_key("validate", canonical, entry->content_hash);
   if (const auto cached = cache_lookup(key)) {
     return HttpResponse{200, "application/json", *cached, 0};
   }
   AdmissionController::Ticket ticket;
   if (auto refused = admit_cold_work(request, &ticket)) return std::move(*refused);
-  const auto model = acquire_model(validate.model);
-  if (!model) {
-    return error_response(api::ErrorCode::kNotFound,
-                          "unknown model '" + validate.model + "'",
-                          hint_details("registered models: " + util::join(model_names(), ", ")));
-  }
   model::TrainingRun reference;
   try {
     reference = core::load_run(validate.run);
@@ -461,7 +404,8 @@ HttpResponse Server::handle_validate(const HttpRequest& request) {
                           std::string("cannot load run: ") + e.what(),
                           hint_details("`run` names the basename of a `keddah capture` output"));
   }
-  const auto report = core::validate_model(*model, reference, validate.cluster, validate.spec);
+  const auto report =
+      core::validate_model(entry->model, reference, validate.cluster, validate.spec);
   const std::string response_body = api::to_body(api::validate_response(report));
   cache_store(key, response_body);
   return HttpResponse{200, "application/json", response_body, 0};
@@ -516,7 +460,6 @@ int run_serve_command(const util::Args& args, std::ostream& out, std::ostream& e
   options.port = static_cast<std::uint16_t>(args.get_int("port", 0));
   options.threads = static_cast<std::size_t>(args.get_int("threads", 0));
   options.model_bank_file = args.get("model-bank", "");
-  options.max_resident_models = static_cast<std::size_t>(args.get_int("max-models", 8));
   options.max_cache_entries = static_cast<std::size_t>(args.get_int("cache-entries", 128));
   options.request_timeout_ms = args.get_int("request-timeout", options.request_timeout_ms);
   options.header_timeout_ms = args.get_int("header-timeout", options.header_timeout_ms);

@@ -1,8 +1,8 @@
 // `keddah serve`: a resident what-if query daemon.
 //
 // The batch CLI pays scenario parsing, model loading, and process startup
-// on every question. The daemon keeps a bank of trained models hot behind a
-// small LRU, answers Spec-API (api/specs.h) requests over embedded HTTP,
+// on every question. The daemon parses its bank of trained models once at
+// boot, answers Spec-API (api/specs.h) requests over embedded HTTP,
 // and memoizes whole responses keyed by a content hash of (endpoint,
 // canonical request, model), so repeated what-ifs — the common interactive
 // pattern — return cached bytes.
@@ -24,10 +24,12 @@
 // so a malformed scenario gets a 400 naming every defective key path, and
 // its first diagnostic is the CLI's error line.
 //
-// Caching assumes the daemon's inputs are immutable for its lifetime:
-// model files are hashed once at registration, and /v1/validate run files
-// are re-read per miss but never invalidate earlier cache entries. Restart
-// the daemon after retraining.
+// Caching assumes the daemon's inputs are immutable for its lifetime: each
+// model document is parsed and hashed once at boot (model::read_model, the
+// loaders' and keddah-lint's rule set; a defective document stops the boot
+// with its first diagnostic), and /v1/validate run files are re-read per
+// miss but never invalidate earlier cache entries. Restart the daemon after
+// retraining.
 //
 // Overload survival (DESIGN.md "Serving robustness"): the transport
 // budgets every socket phase (408 on slow clients, 413 on oversized
@@ -69,8 +71,6 @@ struct ServeOptions {
   std::vector<std::string> model_files;
   /// Optional model-bank file ({"models": [...]}); every entry registers.
   std::string model_bank_file;
-  /// Resident-model LRU capacity (models beyond it reload on demand).
-  std::size_t max_resident_models = 8;
   /// Whole-response cache capacity (entries, LRU-evicted).
   std::size_t max_cache_entries = 128;
 
@@ -104,7 +104,7 @@ struct ServeOptions {
 
 /// Point-in-time counters; /v1/stats is one of these rendered whole plus
 /// its "api" tag. Totals are monotonic since construction; occupancy
-/// (cache entries, resident models, queue) is instantaneous.
+/// (cache entries, queue) is instantaneous.
 struct ServerStats {
   std::uint64_t requests = 0;
   std::uint64_t errors = 0;
@@ -112,10 +112,7 @@ struct ServerStats {
   std::uint64_t cache_misses = 0;
   std::size_t cache_entries = 0;
   std::size_t cache_capacity = 0;
-  std::uint64_t model_loads = 0;
   std::size_t models_registered = 0;
-  std::size_t models_resident = 0;
-  std::size_t max_resident_models = 0;
   /// Requests shed because they outlived their wall-clock budget (503).
   std::uint64_t deadline_expired = 0;
   /// Admission verdict counters and occupancy (429/503 sources).
@@ -135,10 +132,7 @@ struct ServerStats {
       group("capacity", cache_capacity);
     }});
     fn("models", util::CounterGroup{[this](auto&& group) {
-      group("loads", model_loads);
       group("registered", models_registered);
-      group("resident", models_resident);
-      group("max_resident", max_resident_models);
     }});
     fn("robustness", util::CounterGroup{[this](auto&& group) {
       admission.visit(group);
@@ -148,9 +142,10 @@ struct ServerStats {
   }
 };
 
-/// The daemon. Construction registers models (reading each file once to
-/// name and hash it); start()/stop() manage the HTTP front end; handle()
-/// is the transport-free entry point tests and benches drive in-process.
+/// The daemon. Construction parses every model (throwing the first
+/// diagnostic of a defective one); start()/stop() manage the HTTP front
+/// end; handle() is the transport-free entry point tests and benches drive
+/// in-process.
 class Server {
  public:
   explicit Server(ServeOptions options);
@@ -174,33 +169,24 @@ class Server {
   std::vector<std::string> model_names() const;
 
   /// Counter snapshot; /v1/stats renders exactly one of these.
-  ServerStats stats() const EXCLUDES(stats_mutex_, cache_mutex_, models_mutex_);
+  ServerStats stats() const EXCLUDES(stats_mutex_, cache_mutex_);
 
  private:
-  /// Where a registered model lives on disk; models reload from here when
-  /// they fall out of the resident LRU.
-  struct ModelSource {
-    std::string path;
-    /// Index into the file's "models" array for bank entries.
-    std::optional<std::size_t> bank_index;
-    /// FNV-1a over the model's canonical JSON — part of every cache key
-    /// that involves the model.
+  /// A model parsed at boot, with the FNV-1a hash of the JSON document it
+  /// was parsed from: part of every cache key that involves the model.
+  struct RegisteredModel {
+    model::KeddahModel model;
     std::uint64_t content_hash = 0;
   };
+  using ModelRegistry = std::map<std::string, RegisteredModel>;
 
-  void register_model_file(const std::string& path, bool expect_bank)
-      REQUIRES(models_mutex_);
-  void register_model_doc(const util::Json& doc, const std::string& path,
-                          std::optional<std::size_t> bank_index) REQUIRES(models_mutex_);
-  /// Resident-LRU model lookup; loads from disk on miss. Returns nullptr
-  /// for unregistered names. The shared_ptr keeps an evicted model alive
-  /// while a request still uses it.
-  std::shared_ptr<const model::KeddahModel> acquire_model(const std::string& name)
-      EXCLUDES(models_mutex_);
-  std::uint64_t model_hash(const std::string& name) const EXCLUDES(models_mutex_);
-  /// True when `name` is registered — a cheap existence probe that lets
-  /// 404s and cache hits resolve before any model is loaded from disk.
-  bool model_registered(const std::string& name) const EXCLUDES(models_mutex_);
+  /// Parses every --models file and --model-bank entry; throws
+  /// std::invalid_argument with the first diagnostic of a defective one.
+  static ModelRegistry load_models(const ServeOptions& options);
+  /// The registered model called `name`, or nullptr.
+  const RegisteredModel* find_model(const std::string& name) const;
+  /// 404 for a request naming an unregistered model.
+  HttpResponse unknown_model(const std::string& name) const;
 
   std::shared_ptr<const std::string> cache_lookup(std::uint64_t key) EXCLUDES(cache_mutex_);
   void cache_store(std::uint64_t key, const std::string& body) EXCLUDES(cache_mutex_);
@@ -215,25 +201,19 @@ class Server {
   std::optional<HttpResponse> admit_cold_work(const HttpRequest& request,
                                               AdmissionController::Ticket* ticket);
   util::Json health_json() const;
-  util::Json stats_json() const EXCLUDES(stats_mutex_, cache_mutex_, models_mutex_);
+  util::Json stats_json() const EXCLUDES(stats_mutex_, cache_mutex_);
 
   ServeOptions options_;
+  /// Immutable after construction, so request threads read it unlocked.
+  /// Parsed before the listener binds, so a defective model stops the boot.
+  const ModelRegistry models_;
   HttpServer http_;
   AdmissionController admission_;
 
-  // Capability map (see DESIGN.md "Concurrency model"): models_mutex_
-  // guards the registry + resident LRU, cache_mutex_ the response cache,
-  // stats_mutex_ the counters, shutdown_mutex_ the shutdown flag.
-  // stats_mutex_ is a leaf: it is acquired inside models_mutex_
-  // (acquire_model) and inside cache_mutex_ (cache_lookup) and never the
-  // other way around.
-  mutable util::Mutex models_mutex_;
-  std::map<std::string, ModelSource> registry_ GUARDED_BY(models_mutex_);
-  std::list<std::string> model_lru_ GUARDED_BY(models_mutex_);  // front = MRU
-  std::map<std::string, std::pair<std::shared_ptr<const model::KeddahModel>,
-                                  std::list<std::string>::iterator>>
-      resident_ GUARDED_BY(models_mutex_);
-
+  // Capability map (see DESIGN.md "Concurrency model"): cache_mutex_
+  // guards the response cache, stats_mutex_ the counters, shutdown_mutex_
+  // the shutdown flag. stats_mutex_ is a leaf: it is acquired inside
+  // cache_mutex_ (cache_lookup) and never the other way around.
   mutable util::Mutex cache_mutex_;
   std::list<std::uint64_t> cache_lru_ GUARDED_BY(cache_mutex_);  // front = MRU
   struct CacheEntry {

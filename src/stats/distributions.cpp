@@ -4,9 +4,12 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "stats/special.h"
+#include "util/field_reader.h"
 #include "util/strings.h"
 
 namespace keddah::stats {
@@ -297,29 +300,65 @@ util::Json Distribution::to_json() const {
   return doc;
 }
 
-Distribution Distribution::from_json(const util::Json& doc) {
-  const DistFamily family = family_from_name(doc.at("family").as_string());
+Distribution read_distribution(const util::Json& doc, const std::string& prefix,
+                               util::FieldReader& reader) {
+  using util::FieldReader;
+  if (!reader.object(doc, prefix, "must be an object {family, p1, p2}")) return {};
+  reader.unknown_keys(doc, prefix, {"family", "p1", "p2"});
+  const std::string name = doc.get_string("family", "");
+  std::optional<DistFamily> family;
+  std::vector<std::string> names;
+  for (const DistFamily f : all_families()) {
+    if (name == family_name(f)) family = f;
+    names.emplace_back(family_name(f));
+  }
+  if (!family) {
+    std::sort(names.begin(), names.end());
+    reader.error(FieldReader::path(prefix, "family"), "unknown distribution family '" + name + "'",
+                 "one of: " + util::join(names, ", "));
+    return {};
+  }
+  for (const char* key : {"p1", "p2"}) {
+    if (!doc.contains(key) || !FieldReader::finite_number(doc.at(key))) {
+      reader.error(FieldReader::path(prefix, key),
+                   "parameter must be a finite number (NaN/inf serializes as null)",
+                   "refit the distribution or drop the parametric block");
+      return {};
+    }
+  }
   const double p1 = doc.at("p1").as_number();
   const double p2 = doc.at("p2").as_number();
-  switch (family) {
+  // The factories' domains, reported as located errors instead of throws.
+  const auto reject = [&](const char* key, std::string message, std::string hint = "") {
+    reader.error(FieldReader::path(prefix, key), std::move(message), std::move(hint));
+    return Distribution();
+  };
+  switch (*family) {
     case DistFamily::kExponential:
-      return exponential(p1);
+      return p1 > 0.0 ? Distribution::exponential(p1)
+                      : reject("p1", "exponential rate must be > 0");
     case DistFamily::kNormal:
-      return normal(p1, p2);
+      return p2 >= 0.0 ? Distribution::normal(p1, p2) : reject("p2", "normal spread must be >= 0");
     case DistFamily::kLognormal:
-      return lognormal(p1, p2);
+      return p2 >= 0.0 ? Distribution::lognormal(p1, p2)
+                       : reject("p2", "lognormal spread must be >= 0");
     case DistFamily::kWeibull:
-      return weibull(p1, p2);
     case DistFamily::kGamma:
-      return gamma_dist(p1, p2);
     case DistFamily::kPareto:
-      return pareto(p1, p2);
+      if (p1 <= 0.0 || p2 <= 0.0) {
+        return reject(p1 <= 0.0 ? "p1" : "p2", name + " parameters must both be > 0");
+      }
+      return *family == DistFamily::kWeibull ? Distribution::weibull(p1, p2)
+             : *family == DistFamily::kGamma ? Distribution::gamma_dist(p1, p2)
+                                             : Distribution::pareto(p1, p2);
     case DistFamily::kUniform:
-      return uniform(p1, p2);
+      return p2 >= p1 ? Distribution::uniform(p1, p2)
+                      : reject("p2", "uniform upper bound is below the lower bound",
+                               "swap p1 and p2");
     case DistFamily::kConstant:
-      return constant(p1);
+      return Distribution::constant(p1);
   }
-  throw std::invalid_argument("distribution: bad family");
+  return {};
 }
 
 }  // namespace keddah::stats

@@ -1,8 +1,8 @@
 // Parametric distribution families used by Keddah flow-size models.
 //
 // A Distribution is a small value type (family tag + two parameters) with
-// pdf/cdf/quantile/sampling and JSON round-tripping, so trained models can be
-// persisted and replayed.
+// pdf/cdf/quantile/sampling and JSON round-tripping (to_json, and
+// read_distribution back), so trained models can be persisted and replayed.
 #pragma once
 
 #include <span>
@@ -10,6 +10,10 @@
 
 #include "util/json.h"
 #include "util/rng.h"
+
+namespace keddah::util {
+class FieldReader;
+}
 
 namespace keddah::stats {
 
@@ -78,7 +82,6 @@ class Distribution {
   std::string describe() const;
 
   util::Json to_json() const;
-  static Distribution from_json(const util::Json& doc);
 
  private:
   Distribution(DistFamily family, double p1, double p2) : family_(family), p1_(p1), p2_(p2) {}
@@ -87,5 +90,11 @@ class Distribution {
   double p1_;
   double p2_;
 };
+
+/// Reads a {family, p1, p2} block at key path `prefix`, recording an
+/// unknown family or a non-finite or out-of-domain parameter in `reader`;
+/// the default distribution after an error.
+Distribution read_distribution(const util::Json& doc, const std::string& prefix,
+                               util::FieldReader& reader);
 
 }  // namespace keddah::stats

@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
+
+#include "util/field_reader.h"
 
 namespace keddah::stats {
 
@@ -37,12 +40,26 @@ util::Json LinearFit::to_json() const {
   return doc;
 }
 
-LinearFit LinearFit::from_json(const util::Json& doc) {
+LinearFit read_linear_fit(const util::Json& doc, const std::string& prefix,
+                          util::FieldReader& reader) {
+  using util::FieldReader;
   LinearFit fit;
-  fit.slope = doc.at("slope").as_number();
-  fit.intercept = doc.at("intercept").as_number();
-  fit.r2 = doc.get_number("r2", 0.0);
-  fit.n = static_cast<std::size_t>(doc.get_number("n", 0.0));
+  if (!reader.object(doc, prefix, "must be an object {slope, intercept, r2, n}")) return fit;
+  reader.unknown_keys(doc, prefix, {"slope", "intercept", "r2", "n"});
+  for (const auto& [key, field] : {std::pair{"slope", &fit.slope},
+                                   std::pair{"intercept", &fit.intercept}}) {
+    if (doc.contains(key) && FieldReader::finite_number(doc.at(key))) {
+      *field = doc.at(key).as_number();
+    } else {
+      reader.error(FieldReader::path(prefix, key),
+                   "must be a finite number (NaN/inf serializes as null)", "refit the regression");
+    }
+  }
+  fit.r2 = reader.number(doc, prefix, "r2", 0.0);
+  if (fit.r2 > 1.0 + 1e-9) {
+    reader.error(FieldReader::path(prefix, "r2"), "coefficient of determination cannot exceed 1");
+  }
+  fit.n = reader.count(doc, prefix, "n", 0, 0, "sample count must be >= 0");
   return fit;
 }
 

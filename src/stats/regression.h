@@ -6,6 +6,10 @@
 
 #include "util/json.h"
 
+namespace keddah::util {
+class FieldReader;
+}
+
 namespace keddah::stats {
 
 /// y = intercept + slope * x with fit quality.
@@ -19,8 +23,13 @@ struct LinearFit {
   double predict(double x) const { return intercept + slope * x; }
 
   util::Json to_json() const;
-  static LinearFit from_json(const util::Json& doc);
 };
+
+/// Reads a {slope, intercept, r2, n} block at key path `prefix`: slope and
+/// intercept are required finite numbers, r2 is at most 1, and n is a
+/// count. Defects go to `reader`.
+LinearFit read_linear_fit(const util::Json& doc, const std::string& prefix,
+                          util::FieldReader& reader);
 
 /// Ordinary least squares. Requires xs.size() == ys.size() >= 2 with
 /// non-constant xs; throws std::invalid_argument otherwise.

@@ -46,6 +46,12 @@ void FieldReader::throw_first_error() const {
   if (const Diagnostic* first = first_error()) throw std::invalid_argument(first->to_string());
 }
 
+bool FieldReader::object(const Json& value, const std::string& key, const char* message) {
+  if (value.is_object()) return true;
+  error(key.empty() ? "$" : key, message);
+  return false;
+}
+
 void FieldReader::unknown_keys(const Json& obj, const std::string& prefix,
                                std::initializer_list<std::string_view> known) {
   if (!obj.is_object()) return;

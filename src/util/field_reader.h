@@ -1,13 +1,13 @@
 // One validating reader for the typed fields of JSON documents.
 //
 // Every document schema keddah accepts from outside (scenario files, fault
-// plans, Spec API requests, fitted models) reads its fields through this
-// class. A defective field records a key-path Diagnostic and yields the
-// caller's fallback instead of throwing, so one pass over a document either
-// builds its struct or collects every defect. The parsers then throw the
-// first error; keddah-lint and the serve daemon report them all. Because
-// both sides run the same reads, "lint accepts" and "the parser accepts"
-// are the same verdict, with the same wording.
+// plans, Spec API requests, fitted models, model banks) reads its fields
+// through this class. A defective field records a key-path Diagnostic and
+// yields the caller's fallback instead of throwing, so one pass over a
+// document either builds its struct or collects every defect. The parsers
+// then throw the first error; keddah-lint and the serve daemon report them
+// all. Because both sides run the same reads, "lint accepts" and "the
+// parser accepts" are the same verdict, with the same wording.
 //
 // Field accessors take the parent object, the key path of that object
 // (`prefix`, empty at the document root) and the member name. An absent
@@ -48,6 +48,11 @@ class FieldReader {
   /// Throws std::invalid_argument carrying first_error()->to_string(), if
   /// an error was recorded.
   void throw_first_error() const;
+
+  /// True when `value` is an object; otherwise records `message` at `key`
+  /// ("$" for the document root) and returns false.
+  bool object(const Json& value, const std::string& key,
+              const char* message = "must be a JSON object");
 
   /// Warns about each member of `obj` outside `known`: the readers ignore
   /// it, and it is almost always a typo of a real key.

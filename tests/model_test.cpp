@@ -6,6 +6,7 @@
 
 #include "model/builder.h"
 #include "model/keddah_model.h"
+#include "read_or_throw.h"
 
 namespace km = keddah::model;
 namespace kn = keddah::net;
@@ -120,7 +121,7 @@ TEST(SizeModel, JsonRoundTrip) {
   ku::Rng rng(4);
   for (auto& x : xs) x = rng.lognormal(12.0, 0.5);
   m.empirical = kst::Ecdf(xs);
-  const auto restored = km::SizeModel::from_json(m.to_json());
+  const auto restored = keddah::testing::read_or_throw(m.to_json(), km::read_size_model);
   EXPECT_EQ(restored.kind, km::SizeModelKind::kEmpirical);
   ASSERT_TRUE(restored.parametric.has_value());
   EXPECT_EQ(restored.parametric->family(), kst::DistFamily::kLognormal);
@@ -136,7 +137,7 @@ TEST(SizeModel, LargeEcdfSerializedAsQuantiles) {
   m.empirical = kst::Ecdf(xs);
   const auto doc = m.to_json();
   EXPECT_LE(doc.at("empirical").size(), 512u);
-  const auto restored = km::SizeModel::from_json(doc);
+  const auto restored = keddah::testing::read_or_throw(doc, km::read_size_model);
   // Quantile-compressed ECDF still matches the original closely.
   EXPECT_NEAR(restored.empirical.quantile(0.5), m.empirical.quantile(0.5),
               0.05 * m.empirical.quantile(0.5));
@@ -159,7 +160,7 @@ TEST(CountModel, JsonRoundTrip) {
   m.fit.slope = 0.75;
   m.fit.r2 = 0.99;
   m.regressor = "maps_x_reducers";
-  const auto restored = km::CountModel::from_json(m.to_json());
+  const auto restored = keddah::testing::read_or_throw(m.to_json(), km::read_count_model);
   EXPECT_DOUBLE_EQ(restored.fit.slope, 0.75);
   EXPECT_EQ(restored.regressor, "maps_x_reducers");
 }
@@ -197,7 +198,7 @@ TEST(TemporalModel, JsonRoundTrip) {
   m.normalized_offsets = kst::Ecdf(offsets);
   m.phase_start_frac = 0.3;
   m.phase_end_frac = 0.8;
-  const auto restored = km::TemporalModel::from_json(m.to_json());
+  const auto restored = keddah::testing::read_or_throw(m.to_json(), km::read_temporal_model);
   EXPECT_DOUBLE_EQ(restored.phase_start_frac, 0.3);
   EXPECT_DOUBLE_EQ(restored.phase_end_frac, 0.8);
   EXPECT_EQ(restored.normalized_offsets.size(), 2u);

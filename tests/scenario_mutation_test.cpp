@@ -1,13 +1,17 @@
-// Seeded mutation property test for the one scenario rule set: mutants of
+// Seeded mutation property test for the one-rule-set documents: mutants of
 // every corpus document (tests/scenario_corpus.h) — numbers negated or made
 // fractional, values nulled or swapped between string and number, keys
-// dropped, fault entries duplicated — must satisfy
+// dropped, array entries duplicated — must satisfy
 //
 //   lint_scenario reports an error  <=>  parse_scenario throws,
+//   lint_model reports an error     <=>  KeddahModel::from_json throws,
+//   lint_model_bank reports an error <=> ModelBank::from_json throws,
 //
 // with the thrown text equal to the first error's to_string(), and neither
 // side may fail any other way (a foreign exception fails the test; a crash
-// fails it under ASan/UBSan in tools/check_sanitize.sh).
+// fails it under ASan/UBSan in tools/check_sanitize.sh). The unmutated
+// document must get its expected verdict too: fixtures are rejected, the
+// example scenarios and the trained model accepted.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -17,7 +21,9 @@
 #include <vector>
 
 #include "keddah/scenario.h"
+#include "keddah/toolchain.h"
 #include "lint/lint.h"
+#include "model/model_bank.h"
 #include "scenario_corpus.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -163,14 +169,47 @@ std::vector<std::string> json_corpus() {
   return names;
 }
 
-class ScenarioMutation : public ::testing::TestWithParam<std::string> {};
+using Lint = std::function<void(const ku::Json&, std::vector<keddah::lint::Diagnostic>&)>;
+using Load = std::function<void(const ku::Json&)>;
 
-TEST_P(ScenarioMutation, LintErrorIffParseThrowsTheSameFirstMessage) {
-  const ku::Json seed_doc = ku::Json::load_file(keddah::testing::corpus_path(GetParam()));
+/// The verdicts of `lint` and `load` on `doc`: asserts they agree and, on a
+/// rejection, that the thrown text is the first error's. Returns whether
+/// the document was rejected.
+bool expect_one_verdict(const ku::Json& doc, const Lint& lint, const Load& load) {
+  std::vector<keddah::lint::Diagnostic> diagnostics;
+  lint(doc, diagnostics);
+  const keddah::lint::Diagnostic* first_error = nullptr;
+  for (const auto& d : diagnostics) {
+    if (d.severity == keddah::lint::Severity::kError) {
+      first_error = &d;
+      break;
+    }
+  }
+  std::optional<std::string> thrown;
+  try {
+    load(doc);
+  } catch (const std::invalid_argument& e) {
+    thrown = e.what();
+  }
+  EXPECT_EQ(first_error != nullptr, thrown.has_value()) << thrown.value_or("");
+  if (first_error != nullptr && thrown) {
+    EXPECT_EQ(*thrown, first_error->to_string());
+  }
+  return thrown.has_value();
+}
+
+/// Checks the corpus document `name` (already loaded as `seed_doc`) and
+/// kMutantsPerDocument seeded mutants of it.
+void check_document_and_mutants(const std::string& name, const ku::Json& seed_doc,
+                                bool expect_rejected, const Lint& lint, const Load& load) {
+  {
+    SCOPED_TRACE("unmutated " + name);
+    EXPECT_EQ(expect_one_verdict(seed_doc, lint, load), expect_rejected);
+  }
   // Seeded from the corpus entry name, so a failing mutant reproduces in
   // any checkout.
   std::uint64_t seed = 1469598103934665603ull;
-  for (const unsigned char c : GetParam()) {
+  for (const unsigned char c : name) {
     seed = (seed ^ c) * 1099511628211ull;
   }
   ku::Rng rng(seed);
@@ -180,33 +219,74 @@ TEST_P(ScenarioMutation, LintErrorIffParseThrowsTheSameFirstMessage) {
     ku::Json doc = mutate(seed_doc, rng, log);
     if (rng.chance(0.3)) doc = mutate(doc, rng, log);
     SCOPED_TRACE("mutant " + std::to_string(m) + ": " + log + doc.dump(-1));
-
-    std::vector<keddah::lint::Diagnostic> diagnostics;
-    keddah::lint::lint_scenario(doc, "mutant", diagnostics);
-    const keddah::lint::Diagnostic* first_error = nullptr;
-    for (const auto& d : diagnostics) {
-      if (d.severity == keddah::lint::Severity::kError) {
-        first_error = &d;
-        break;
-      }
-    }
-    std::optional<std::string> thrown;
-    try {
-      (void)keddah::core::parse_scenario(doc, "mutant");
-    } catch (const std::invalid_argument& e) {
-      thrown = e.what();
-    }
-    ASSERT_EQ(first_error != nullptr, thrown.has_value()) << thrown.value_or("");
-    if (thrown) {
-      ++rejected;
-      EXPECT_EQ(*thrown, first_error->to_string());
-    }
+    if (expect_one_verdict(doc, lint, load)) ++rejected;
+    if (::testing::Test::HasFailure()) return;
   }
   // A harness whose mutations never reach a rule would pass vacuously.
   EXPECT_GT(rejected, 0u);
 }
 
+class ScenarioMutation : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ScenarioMutation, LintErrorIffParseThrowsTheSameFirstMessage) {
+  check_document_and_mutants(
+      GetParam(), ku::Json::load_file(keddah::testing::corpus_path(GetParam())),
+      GetParam().rfind("examples/", 0) != 0,
+      [](const ku::Json& doc, std::vector<keddah::lint::Diagnostic>& out) {
+        keddah::lint::lint_scenario(doc, "mutant", out);
+      },
+      [](const ku::Json& doc) { (void)keddah::core::parse_scenario(doc, "mutant"); });
+}
+
 INSTANTIATE_TEST_SUITE_P(Corpus, ScenarioMutation, ::testing::ValuesIn(json_corpus()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return keddah::testing::corpus_test_name(info.param);
+                         });
+
+/// A small grep model trained in-process: the document the toolchain
+/// itself writes, with every class trained.
+const ku::Json& trained_model() {
+  static const ku::Json doc = [] {
+    keddah::hadoop::ClusterConfig cfg;
+    cfg.racks = 2;
+    cfg.hosts_per_rack = 2;
+    cfg.block_size = 32ull << 20;
+    keddah::core::CaptureSpec capture;
+    capture.workload = keddah::workloads::Workload::kGrep;
+    capture.input_sizes = {64ull << 20, 128ull << 20};
+    capture.seed = 7;
+    capture.threads = 1;
+    return keddah::core::train("grep", keddah::core::capture_runs(cfg, capture), cfg).to_json();
+  }();
+  return doc;
+}
+
+class ModelMutation : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ModelMutation, LintErrorIffLoadThrowsTheSameFirstMessage) {
+  const std::string& name = GetParam();
+  const bool trained = name == keddah::testing::kTrainedModel;
+  const ku::Json seed_doc =
+      trained ? trained_model() : ku::Json::load_file(keddah::testing::corpus_path(name));
+  if (name.rfind("lint/bank_", 0) == 0) {
+    check_document_and_mutants(
+        name, seed_doc, /*expect_rejected=*/true,
+        [](const ku::Json& doc, std::vector<keddah::lint::Diagnostic>& out) {
+          keddah::lint::lint_model_bank(doc, "mutant", out);
+        },
+        [](const ku::Json& doc) { (void)keddah::model::ModelBank::from_json(doc, "mutant"); });
+    return;
+  }
+  check_document_and_mutants(
+      name, seed_doc, /*expect_rejected=*/!trained,
+      [](const ku::Json& doc, std::vector<keddah::lint::Diagnostic>& out) {
+        keddah::lint::lint_model(doc, "mutant", out);
+      },
+      [](const ku::Json& doc) { (void)keddah::model::KeddahModel::from_json(doc, "mutant"); });
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, ModelMutation,
+                         ::testing::ValuesIn(keddah::testing::model_corpus()),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return keddah::testing::corpus_test_name(info.param);
                          });

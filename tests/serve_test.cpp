@@ -259,6 +259,42 @@ TEST(Serve, ReproduceUsesTheModelBankAndRejectsUnknownModels) {
   std::filesystem::remove(model_path);
 }
 
+TEST(Serve, DefectiveModelStopsTheBoot) {
+  const std::string path =
+      std::string(KEDDAH_MODEL_DRIFT_FIXTURES) + "/class_without_size.json";
+  ks::ServeOptions options;
+  options.model_files = {path};
+  try {
+    ks::Server server(options);
+    FAIL() << "a model without classes.shuffle.size booted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("classes.shuffle.size"), std::string::npos) << e.what();
+  }
+  // `keddah serve` reports the same first diagnostic as its error line.
+  const auto result = run_cli({"serve", "--port", "0", "--models", path});
+  EXPECT_EQ(result.code, 1);
+  EXPECT_EQ(result.err.rfind("error: " + path + ": classes.shuffle.size: ", 0), 0u)
+      << result.err;
+}
+
+TEST(Serve, StatsCountBankEntriesAndStandaloneModels) {
+  const std::string model_path = ::testing::TempDir() + "/keddah_serve_sort.json";
+  const std::string bank_path = ::testing::TempDir() + "/keddah_serve_bank.json";
+  ku::Json::parse(R"({"job_name": "sort"})").save_file(model_path);
+  ku::Json::parse(R"({"models": [{"job_name": "grep"}, {"job_name": "sort"}]})")
+      .save_file(bank_path);
+  ks::ServeOptions options;
+  options.model_files = {model_path};
+  options.model_bank_file = bank_path;
+  ks::Server server(options);
+  // The bank's "sort" repeats the standalone file's job name.
+  EXPECT_EQ(server.model_names(), (std::vector<std::string>{"grep", "sort", "sort#2"}));
+  const auto stats = ku::Json::parse(server.handle(get("/v1/stats")).body);
+  EXPECT_EQ(stats.at("models").at("registered").as_int(), 3);
+  std::filesystem::remove(model_path);
+  std::filesystem::remove(bank_path);
+}
+
 namespace {
 
 std::string error_code_of(const std::string& body) {
@@ -382,10 +418,7 @@ TEST(Serve, StatsDocumentKeepsItsKeyPaths) {
       "cache.hits:number",
       "cache.misses:number",
       "errors:number",
-      "models.loads:number",
-      "models.max_resident:number",
       "models.registered:number",
-      "models.resident:number",
       "requests:number",
       "robustness.admitted:number",
       "robustness.deadline_expired:number",

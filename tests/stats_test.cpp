@@ -15,6 +15,7 @@
 #include "stats/regression.h"
 #include "stats/special.h"
 #include "stats/summary.h"
+#include "read_or_throw.h"
 #include "util/rng.h"
 
 namespace kst = keddah::stats;
@@ -269,7 +270,7 @@ TEST(Distribution, InvalidParamsThrow) {
 
 TEST(Distribution, JsonRoundTrip) {
   const auto d = kst::Distribution::lognormal(13.25, 0.75);
-  const auto restored = kst::Distribution::from_json(d.to_json());
+  const auto restored = keddah::testing::read_or_throw(d.to_json(), kst::read_distribution);
   EXPECT_EQ(restored.family(), kst::DistFamily::kLognormal);
   EXPECT_DOUBLE_EQ(restored.param1(), 13.25);
   EXPECT_DOUBLE_EQ(restored.param2(), 0.75);
@@ -564,7 +565,7 @@ TEST(Regression, JsonRoundTrip) {
   fit.intercept = -3.0;
   fit.r2 = 0.87;
   fit.n = 12;
-  const auto restored = kst::LinearFit::from_json(fit.to_json());
+  const auto restored = keddah::testing::read_or_throw(fit.to_json(), kst::read_linear_fit);
   EXPECT_DOUBLE_EQ(restored.slope, 1.25);
   EXPECT_DOUBLE_EQ(restored.intercept, -3.0);
   EXPECT_DOUBLE_EQ(restored.r2, 0.87);

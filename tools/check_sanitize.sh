@@ -51,12 +51,13 @@ cmake --build "${BUILD}" \
 # fast path to the reference recompute, and GoldenTrace pins end-to-end
 # scenario output byte-for-byte — both with the KEDDAH_CHECK audits live.
 # SourceScan feeds the linters' lexer real sources and seeded corruptions
-# of them, so any out-of-bounds read in it surfaces here. VerdictParity and
-# ScenarioMutation drive the shared scenario reader with the drift corpus
-# and seeded mutants of it, so a negative-to-unsigned cast or an
-# out-of-bounds read on untrusted JSON surfaces here.
+# of them, so any out-of-bounds read in it surfaces here. VerdictParity,
+# ScenarioMutation and ModelMutation drive the shared scenario and model
+# readers with the drift corpora and seeded mutants of them, so a
+# negative-to-unsigned cast or an out-of-bounds read on untrusted JSON
+# surfaces here.
 ctest --test-dir "${BUILD}" --output-on-failure \
-      -R 'ThreadPool|SweepRunner|ParallelDeterminism|DeriveSeed|ResolvedThreads|Network|NodeFailure|TransientOutage|DegradedLink|SlowNode|FaultPlan|Scenario|InvariantAudit|SchedulerDifferential|GoldenTrace|SpecApi|SpecError|Serve|Chaos|Spill|ArenaChurn|SourceScan|VerdictParity|ScenarioMutation'
+      -R 'ThreadPool|SweepRunner|ParallelDeterminism|DeriveSeed|ResolvedThreads|Network|NodeFailure|TransientOutage|DegradedLink|SlowNode|FaultPlan|Scenario|InvariantAudit|SchedulerDifferential|GoldenTrace|SpecApi|SpecError|Serve|Chaos|Spill|ArenaChurn|SourceScan|VerdictParity|ScenarioMutation|ModelMutation'
 
 # A quick pass of the scheduler benchmark under the sanitizer: exercises
 # the incremental and reference schedulers back to back on all the
@@ -72,7 +73,7 @@ ctest --test-dir "${BUILD}" --output-on-failure \
 
 # The serve benchmark doubles as a concurrency smoke for the daemon: eight
 # in-process clients hammer Server::handle() while the response cache and
-# resident-model LRU are shared state — exactly what TSan should watch.
+# the counters are shared state — exactly what TSan should watch.
 "${BUILD}/bench/perf_serve" --quick --out "${BUILD}/BENCH_serve.json"
 
 # Overload chaos smoke: a 4x burst of cold what-if work over real sockets

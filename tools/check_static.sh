@@ -5,8 +5,10 @@
 #      with KEDDAH_CHECK audits compiled in — the configuration every
 #      commit must keep clean.
 #   2. keddah-lint over the shipped example scenarios (must pass) and over
-#      the seeded-defect fixtures in tests/fixtures/lint (every one must
-#      FAIL — a fixture that lints clean means a diagnostic regressed).
+#      the seeded-defect fixtures in tests/fixtures/lint and the drift
+#      documents in tests/fixtures/scenario_drift and tests/fixtures/
+#      model_drift (every one must FAIL — a fixture that lints clean means
+#      a diagnostic regressed, or lint and the loader drifted apart again).
 #   3. keddah-detlint over src/ (zero unsuppressed determinism hazards)
 #      and over the seeded-hazard fixtures in tests/fixtures/detlint
 #      (every one must fail with exactly the rule its `// expect:` header
@@ -47,14 +49,15 @@ LINT="${BUILD}/tools/keddah-lint"
 echo "== stage 2a: keddah-lint on shipped example scenarios (must pass) =="
 "${LINT}" "${ROOT}"/examples/scenarios/*.json
 
-echo "== stage 2b: keddah-lint on seeded-defect fixtures (each must fail) =="
-for fixture in "${ROOT}"/tests/fixtures/lint/*.json; do
+echo "== stage 2b: keddah-lint on seeded-defect and drift fixtures (each must fail) =="
+FIXTURES=("${ROOT}"/tests/fixtures/{lint,scenario_drift,model_drift}/*.json)
+for fixture in "${FIXTURES[@]}"; do
   if "${LINT}" "${fixture}" >/dev/null 2>&1; then
     echo "FAIL: ${fixture} lints clean but seeds a defect" >&2
     exit 1
   fi
 done
-echo "all $(ls "${ROOT}"/tests/fixtures/lint/*.json | wc -l) fixtures flagged"
+echo "all ${#FIXTURES[@]} fixtures flagged"
 
 DETLINT="${BUILD}/tools/keddah-detlint"
 
