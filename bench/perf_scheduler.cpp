@@ -10,6 +10,12 @@
 // frontier should cut links-touched-per-reshare by well over 3x versus the
 // full recompute.
 //
+// The `dense` shape mirrors the paper pipeline's sort replay: open-loop
+// arrivals on the 16-host rack tree outrun the fabric, so thousands of
+// flows are live at once on at most 240 host-pair paths. It is the shape
+// path bundling is for; bundles/solve (next to solve_size_hist) shows how
+// far the solver's work shrinks below flows/solve.
+//
 // Usage: perf_scheduler [--quick] [--out PATH]
 #include <chrono>
 #include <cmath>
@@ -40,6 +46,7 @@ struct Shape {
 struct ModeResult {
   double wall_s = 0.0;
   double flows_per_s = 0.0;
+  std::size_t peak_live = 0;
   kn::SchedulerStats stats;
 };
 
@@ -135,6 +142,22 @@ std::size_t build(const std::string& name, ks::Simulator& sim, kn::Network*& net
       if (dst == src) dst = hosts[(static_cast<std::size_t>(dst) + 1) % hosts.size()];
       start_all(*net, src, dst, std::pow(10.0, rng.uniform(4.5, 7.2)), rng.uniform(0.0, 3.0));
     }
+  } else if (name == "dense") {
+    // 4x4 rack tree (the paper's testbed shape): ~25 Gb/s of open-loop
+    // arrivals into 16 Gb/s of access capacity for two seconds, so the
+    // backlog climbs into the thousands before it drains.
+    keep.push_back(
+        std::make_unique<kn::Network>(sim, kn::make_rack_tree(4, 4, 1e9, 10e9, 0.0), opts));
+    net = keep.back().get();
+    const auto hosts = net->topology().hosts();
+    const std::size_t n = static_cast<std::size_t>(6000 * scale);
+    const double window = 2.0 * scale;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto src = hosts[rng.uniform_int(0, static_cast<std::int64_t>(hosts.size()) - 1)];
+      auto dst = hosts[rng.uniform_int(0, static_cast<std::int64_t>(hosts.size()) - 1)];
+      if (dst == src) dst = hosts[(static_cast<std::size_t>(dst) + 1) % hosts.size()];
+      start_all(*net, src, dst, std::pow(10.0, rng.uniform(5.0, 6.6)), rng.uniform(0.0, window));
+    }
   } else {  // large
     // 8x8 rack tree, eight concurrent rack-confined all-to-all shuffles:
     // the decomposable case the incremental scheduler is built for.
@@ -171,7 +194,15 @@ ModeResult run(const std::string& shape, bool reference, double scale) {
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
   r.flows_per_s = static_cast<double>(flows) / r.wall_s;
   r.stats = net->scheduler_stats();
+  r.peak_live = net->arena_stats().peak_live;
   return r;
+}
+
+/// Mean path bundles per solve: the unit of the solver's work, against
+/// flows_visited / solves.
+double bundles_per_solve(const kn::SchedulerStats& s) {
+  return s.solves > 0 ? static_cast<double>(s.bundles_visited) / static_cast<double>(s.solves)
+                      : 0.0;
 }
 
 /// The scheduler's counters plus the bench-only extras.
@@ -183,6 +214,8 @@ ku::Json mode_json(const ModeResult& r) {
   ku::Json hist = ku::Json::array();
   for (const std::uint64_t n : r.stats.solve_size_hist) hist.push_back(ku::Json(n));
   doc["solve_size_hist"] = std::move(hist);
+  doc["bundles_per_solve"] = ku::Json(bundles_per_solve(r.stats));
+  doc["peak_live"] = ku::Json(static_cast<std::uint64_t>(r.peak_live));
   return doc;
 }
 
@@ -199,12 +232,13 @@ int main(int argc, char** argv) {
   // One row per (shape, scheduler) run, counter columns from visit(), then
   // a rollup of the two headline ratios (reference / incremental).
   std::vector<std::string> header = {"shape", "scheduler", "wall_s", "flows/sec",
-                                     "links/reshare"};
+                                     "links/reshare", "bundles/solve"};
   kn::SchedulerStats{}.visit([&](const char* name, const auto&) { header.emplace_back(name); });
   ku::TextTable runs(header);
   ku::TextTable rollup({"shape", "links_per_reshare_ratio", "wall_speedup"});
   ku::Json doc = ku::Json::object();
-  for (const std::string shape : {"small", "medium", "mid-mixed", "mid-local", "large"}) {
+  for (const std::string shape :
+       {"small", "medium", "mid-mixed", "mid-local", "large", "dense"}) {
     ModeResult results[2];
     for (const bool reference : {false, true}) {
       auto& r = results[reference ? 1 : 0];
@@ -212,7 +246,8 @@ int main(int argc, char** argv) {
       std::vector<std::string> row = {shape, reference ? "reference" : "incremental",
                                       ku::format("%.4f", r.wall_s),
                                       ku::format("%.0f", r.flows_per_s),
-                                      ku::format("%.2f", r.stats.links_per_reshare())};
+                                      ku::format("%.2f", r.stats.links_per_reshare()),
+                                      ku::format("%.1f", bundles_per_solve(r.stats))};
       r.stats.visit([&](const char*, const auto& v) { row.push_back(std::to_string(v)); });
       runs.add_row(std::move(row));
     }

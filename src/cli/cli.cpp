@@ -216,6 +216,8 @@ int cmd_replay(const util::Args& args, std::ostream& out, std::ostream& err) {
   table.add_row({"mean FCT", util::format("%.3f s", result.mean_fct())});
   table.add_row({"p99 FCT", util::format("%.3f s", result.p99_fct())});
   table.print(out);
+  out << "\n";
+  util::counters_table(result.scheduler, "scheduler counter").print(out);
   return 0;
 }
 

@@ -127,6 +127,7 @@ ReplayResult replay_closed_loop(const SyntheticTrafficSchedule& schedule,
     });
   }
   sim.run();
+  result.scheduler = network.scheduler_stats();
   if (collector.spilling()) {
     finish_spill(collector, result);
   } else {
@@ -166,6 +167,7 @@ ReplayResult replay(const SyntheticTrafficSchedule& schedule, const net::Topolog
     });
   }
   sim.run();
+  result.scheduler = network.scheduler_stats();
   if (collector.spilling()) {
     finish_spill(collector, result);
   } else {

@@ -8,6 +8,7 @@
 
 #include "capture/trace.h"
 #include "gen/generator.h"
+#include "net/network.h"
 #include "net/topology.h"
 
 namespace keddah::gen {
@@ -26,6 +27,8 @@ struct ReplayResult {
   /// with capture::SpillReader).
   std::uint64_t spilled_records = 0;
   std::string spill_path;
+  /// The fair-share scheduler's counters over the whole replay.
+  net::SchedulerStats scheduler;
 
   double mean_fct() const;
   double p99_fct() const;

@@ -19,6 +19,18 @@ namespace {
 constexpr double kDrainEpsilonBits = 1e-2;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Bundle key of a path given as `len` arc indices, never 0 (FlatIndex's
+/// empty key). Collisions are harmless — every hit is checked arc by arc.
+template <typename IndexAt>
+std::uint64_t path_hash(std::size_t len, IndexAt index_at) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ len;
+  for (std::size_t i = 0; i < len; ++i) {
+    h = (h ^ index_at(i)) * 0x100000001b3ULL;
+    h ^= h >> 29;
+  }
+  return h == 0 ? 1 : h;
+}
 }  // namespace
 
 const char* flow_kind_name(FlowKind kind) {
@@ -47,15 +59,14 @@ Network::Network(sim::Simulator& sim, Topology topology, NetworkOptions options)
     arcs_[Arc{l, 1}.index()].capacity_bps = cap;
   }
   arc_visit_.assign(n_arcs, 0);
-  arc_local_idx_.assign(n_arcs, 0);
   arc_bits_.assign(n_arcs, 0.0);
-  // Arc-bounded solver scratch is pre-sized once here; the flow-bounded
+  // Arc-bounded solver scratch is pre-sized once here; the bundle-bounded
   // scratch buffers grow on first use and then retain capacity, so a
   // steady-state solve allocates nothing.
   scratch_arc_stack_.reserve(n_arcs);
   scratch_local_arcs_.reserve(n_arcs);
-  scratch_residual_.reserve(n_arcs);
-  scratch_unfrozen_.reserve(n_arcs);
+  scratch_residual_.assign(n_arcs, 0.0);
+  scratch_unfrozen_.assign(n_arcs, 0);
   node_down_.assign(topology_.num_nodes(), false);
   reference_mode_ = options_.reference_scheduler;
   const char* env = std::getenv("KEDDAH_REFERENCE_SCHEDULER");
@@ -196,6 +207,54 @@ void Network::audit_scheduler() const {
     ++frontier;
   }
   if (frontier != dirty_flags) fail("dirty flags out of sync with frontier");
+
+  // Path bundles: refcounts match the slots mapped to them, every member's
+  // path is its bundle's path, capped bundles stay unindexed singletons,
+  // and the index holds exactly the live uncapped bundles.
+  const std::size_t n_bundles = bundle_refs_.size();
+  std::vector<std::uint32_t> members(n_bundles, 0);
+  for (std::uint32_t slot = 0; slot < slot_id_.size(); ++slot) {
+    if (!slot_in_use_[slot]) continue;
+    const std::uint32_t b = slot_bundle_[slot];
+    if (b >= n_bundles) fail("slot mapped to an unknown bundle");
+    ++members[b];
+    const PathRef& pr = slot_path_[slot];
+    const std::vector<std::uint32_t>& arcs = bundle_arcs_[b];
+    if (arcs.size() != pr.len) fail("slot path length != its bundle's");
+    for (std::uint32_t i = 0; i < pr.len; ++i) {
+      if (path_pool_[pr.off + i].index() != arcs[i]) fail("slot path != its bundle's arcs");
+    }
+    const bool capped = std::isfinite(slot_rate_cap_[slot]);
+    if (capped != (bundle_capped_slot_[b] != kNoSlot) ||
+        (capped && bundle_capped_slot_[b] != slot)) {
+      fail("capped flow not in its own singleton bundle");
+    }
+  }
+  std::size_t free_bundles = 0, indexed = 0;
+  for (std::uint32_t b = 0; b < n_bundles; ++b) {
+    if (bundle_refs_[b] != members[b]) fail("bundle refcount != slots mapped to it");
+    if (bundle_refs_[b] == 0) {
+      ++free_bundles;
+      continue;
+    }
+    const bool capped = bundle_capped_slot_[b] != kNoSlot;
+    if (capped && bundle_refs_[b] > 1) fail("capped bundle with multiplicity > 1");
+    if (capped && bundle_hash_[b] != 0) fail("capped bundle indexed");
+    if (capped) continue;
+    const std::vector<std::uint32_t>& arcs = bundle_arcs_[b];
+    const std::uint64_t hash = path_hash(arcs.size(), [&arcs](std::size_t i) { return arcs[i]; });
+    const std::uint32_t* found = bundle_index_.find(hash);
+    if (bundle_hash_[b] != 0) {
+      ++indexed;
+      if (bundle_hash_[b] != hash || found == nullptr || *found != b) {
+        fail("uncapped bundle missing from the path index");
+      }
+    } else if (found == nullptr || *found == b || bundle_arcs_[*found] == arcs) {
+      fail("unindexed uncapped bundle without a colliding path");  // collision fallback only
+    }
+  }
+  if (indexed != bundle_index_.size()) fail("path index holds a dead or capped bundle");
+  if (free_bundles != free_bundles_.size()) fail("free bundle list != bundles with no members");
 }
 
 double Network::arc_bytes(Arc arc) const {
@@ -432,8 +491,7 @@ std::uint32_t Network::allocate_slot() {
   slot_in_use_.push_back(0);
   slot_path_.emplace_back();
   slot_callback_.emplace_back();
-  slot_visit_.push_back(0);
-  slot_local_.push_back(0);
+  slot_bundle_.push_back(0);
   return slot;
 }
 
@@ -497,6 +555,7 @@ void Network::compact_path_pool() {
 }
 
 void Network::add_membership(std::uint32_t slot) {
+  attach_bundle(slot);
   const PathRef& pr = slot_path_[slot];
   for (std::uint32_t i = 0; i < pr.len; ++i) {
     const std::uint32_t ai = path_pool_[pr.off + i].index();
@@ -508,6 +567,7 @@ void Network::add_membership(std::uint32_t slot) {
 }
 
 void Network::remove_membership(std::uint32_t slot) {
+  release_bundle(slot);
   const PathRef& pr = slot_path_[slot];
   for (std::uint32_t i = 0; i < pr.len; ++i) {
     const std::uint32_t ai = path_pool_[pr.off + i].index();
@@ -522,6 +582,56 @@ void Network::remove_membership(std::uint32_t slot) {
     }
     mark_dirty(ai);
   }
+}
+
+void Network::attach_bundle(std::uint32_t slot) {
+  const PathRef& pr = slot_path_[slot];
+  const Arc* arcs = path_pool_.data() + pr.off;
+  const bool capped = std::isfinite(slot_rate_cap_[slot]);
+  std::uint64_t hash = 0;
+  if (!capped) {
+    hash = path_hash(pr.len, [arcs](std::size_t i) { return arcs[i].index(); });
+    if (const std::uint32_t* found = bundle_index_.find(hash)) {
+      const std::vector<std::uint32_t>& same = bundle_arcs_[*found];
+      if (same.size() == pr.len &&
+          std::equal(same.begin(), same.end(), arcs,
+                     [](std::uint32_t ai, const Arc& arc) { return ai == arc.index(); })) {
+        ++bundle_refs_[*found];
+        slot_bundle_[slot] = *found;
+        return;
+      }
+      hash = 0;  // a different path under the same hash: bundle it alone
+    }
+  }
+  std::uint32_t b;
+  if (!free_bundles_.empty()) {
+    b = free_bundles_.back();
+    free_bundles_.pop_back();
+  } else {
+    b = static_cast<std::uint32_t>(bundle_refs_.size());
+    bundle_refs_.push_back(0);
+    bundle_arcs_.emplace_back();
+    bundle_hash_.push_back(0);
+    bundle_capped_slot_.push_back(kNoSlot);
+    bundle_visit_.push_back(0);
+    bundle_round_.push_back(0);
+    bundle_virtual_.push_back(0);
+  }
+  bundle_refs_[b] = 1;
+  bundle_hash_[b] = hash;
+  bundle_capped_slot_[b] = capped ? slot : kNoSlot;
+  std::vector<std::uint32_t>& column = bundle_arcs_[b];
+  column.resize(pr.len);
+  for (std::uint32_t i = 0; i < pr.len; ++i) column[i] = arcs[i].index();
+  if (hash != 0) bundle_index_.insert(hash, b);
+  slot_bundle_[slot] = b;
+}
+
+void Network::release_bundle(std::uint32_t slot) {
+  const std::uint32_t b = slot_bundle_[slot];
+  if (--bundle_refs_[b] > 0) return;
+  if (bundle_hash_[b] != 0) bundle_index_.erase(bundle_hash_[b]);
+  free_bundles_.push_back(b);
 }
 
 std::pair<Flow, Network::CompletionCallback> Network::detach(std::uint32_t slot) {
@@ -591,9 +701,14 @@ void Network::solve_dirty() {
   ++visit_epoch_;
   const std::uint64_t epoch = visit_epoch_;
 
-  scratch_flows_.clear();
   scratch_arc_stack_.clear();
   scratch_local_arcs_.clear();
+  scratch_bundles_.clear();
+  scratch_capped_.clear();
+  // A component holds at most every bundle id: with this reserve the
+  // pushes below never reallocate mid-solve.
+  scratch_bundles_.reserve(bundle_refs_.size());
+  scratch_capped_.reserve(bundle_refs_.size());
 
   // Seed the flood fill with the populated dirty arcs; arcs whose last
   // member departed (or that were never populated) just get their flag
@@ -607,24 +722,29 @@ void Network::solve_dirty() {
   }
   dirty_arcs_.clear();
 
-  // Flood fill the connected component(s) of the flow/arc sharing graph
+  // Flood fill the connected component(s) of the bundle/arc sharing graph
   // that contain a dirty arc. Rates of flows outside these components are
   // unaffected by whatever changed (max-min decomposes exactly over
-  // components), so their cached values stand.
+  // components), so their cached values stand. The per-arc member lists
+  // name flows; a bundle's path is walked only the first time one of its
+  // flows turns up.
+  std::size_t n_flows = 0;
+  std::size_t n_bundle_arcs = 0;
   while (!scratch_arc_stack_.empty()) {
     const std::uint32_t ai = scratch_arc_stack_.back();
     scratch_arc_stack_.pop_back();
     scratch_local_arcs_.push_back(ai);
     for (const auto& [slot, pi] : arcs_[ai].members) {
       (void)pi;
-      if (slot_visit_[slot] == epoch) continue;
-      slot_visit_[slot] = epoch;
-      // archlint:allow(hot-push-back): flow-bounded scratch; capacity
-      // persists across solves, so growth amortizes to zero steady-state.
-      scratch_flows_.push_back(slot);
-      const PathRef& pr = slot_path_[slot];
-      for (std::uint32_t i = 0; i < pr.len; ++i) {
-        const std::uint32_t aj = path_pool_[pr.off + i].index();
+      const std::uint32_t b = slot_bundle_[slot];
+      if (bundle_visit_[b] == epoch) continue;
+      bundle_visit_[b] = epoch;
+      bundle_round_[b] = 0;
+      scratch_bundles_.push_back(b);
+      if (bundle_capped_slot_[b] != kNoSlot) scratch_capped_.push_back(b);
+      n_flows += bundle_refs_[b];
+      n_bundle_arcs += bundle_arcs_[b].size();
+      for (const std::uint32_t aj : bundle_arcs_[b]) {
         if (arc_visit_[aj] != epoch) {
           arc_visit_[aj] = epoch;
           scratch_arc_stack_.push_back(aj);
@@ -644,78 +764,49 @@ void Network::solve_dirty() {
     }
     ++sched_stats_.solve_size_hist[bucket];
   }
-  if (scratch_flows_.empty()) return;
-  sched_stats_.flows_visited += scratch_flows_.size();
+  if (scratch_bundles_.empty()) return;
+  sched_stats_.flows_visited += n_flows;
+  sched_stats_.bundles_visited += scratch_bundles_.size();
 
-  // Canonical order: flows by id, real arcs by global arc index, virtual
-  // cap arcs appended in flow order after every real arc. The solve is then
+  // Canonical order: real arcs by global arc index, then virtual cap arcs
+  // by flow id; no flow sort. Heap ties break on this key, so the solve is
   // a pure function of (membership, capacities) — independent of how the
   // component was discovered — which is what makes incremental and
-  // reference allocations bit-identical.
-  std::sort(scratch_flows_.begin(), scratch_flows_.end(), [this](std::uint32_t a, std::uint32_t b) {
-    return slot_id_[a] < slot_id_[b];
+  // reference allocations bit-identical. Only the capped bundles (each a
+  // single flow) need sorting to number their virtual arcs.
+  std::sort(scratch_capped_.begin(), scratch_capped_.end(), [this](std::uint32_t a, std::uint32_t b) {
+    return slot_id_[bundle_capped_slot_[a]] < slot_id_[bundle_capped_slot_[b]];
   });
-  std::sort(scratch_local_arcs_.begin(), scratch_local_arcs_.end());
-
-  const std::size_t nf = scratch_flows_.size();
-  const std::size_t n_real = scratch_local_arcs_.size();
-  for (std::size_t li = 0; li < n_real; ++li) {
-    arc_local_idx_[scratch_local_arcs_[li]] = static_cast<std::uint32_t>(li);
-  }
-  for (std::size_t fi = 0; fi < nf; ++fi) {
-    slot_local_[scratch_flows_[fi]] = static_cast<std::uint32_t>(fi);
-  }
-
-  // CSR of flow -> local arcs (path arcs, then the virtual cap arc if any).
-  // All of the solve state below lives in member scratch buffers (hoisted
-  // locals): assign() reuses retained capacity, so repeat solves allocate
-  // nothing once the buffers have grown to the component's size.
-  auto& flow_arc_off = scratch_flow_arc_off_;
-  flow_arc_off.assign(nf + 1, 0);
-  std::size_t n_virtual = 0;
-  for (std::size_t fi = 0; fi < nf; ++fi) {
-    const std::uint32_t slot = scratch_flows_[fi];
-    const bool capped = std::isfinite(slot_rate_cap_[slot]);
-    flow_arc_off[fi + 1] = flow_arc_off[fi] + slot_path_[slot].len + (capped ? 1u : 0u);
-    if (capped) ++n_virtual;
-  }
-  const std::size_t n_arcs = n_real + n_virtual;
-  auto& flow_arcs = scratch_flow_arcs_;
-  flow_arcs.assign(flow_arc_off[nf], 0);
+  const std::uint32_t n_global = static_cast<std::uint32_t>(arcs_.size());
+  const std::size_t n_keys = n_global + scratch_capped_.size();
   auto& residual = scratch_residual_;
-  residual.assign(n_arcs, 0.0);
   auto& unfrozen = scratch_unfrozen_;
-  unfrozen.assign(n_arcs, 0);
-  auto& virtual_member = scratch_virtual_member_;
-  virtual_member.assign(n_virtual, 0);
-
-  for (std::size_t li = 0; li < n_real; ++li) {
-    residual[li] = arcs_[scratch_local_arcs_[li]].capacity_bps;
+  if (residual.size() < n_keys) {
+    residual.resize(n_keys, 0.0);
+    unfrozen.resize(n_keys, 0);
   }
-  std::size_t next_virtual = n_real;
-  for (std::size_t fi = 0; fi < nf; ++fi) {
-    const std::uint32_t slot = scratch_flows_[fi];
-    const PathRef& pr = slot_path_[slot];
-    std::uint32_t w = flow_arc_off[fi];
-    for (std::uint32_t i = 0; i < pr.len; ++i) {
-      const std::uint32_t li = arc_local_idx_[path_pool_[pr.off + i].index()];
-      flow_arcs[w++] = li;
-      ++unfrozen[li];
-    }
-    if (std::isfinite(slot_rate_cap_[slot])) {
-      residual[next_virtual] = slot_rate_cap_[slot];
-      unfrozen[next_virtual] = 1;
-      virtual_member[next_virtual - n_real] = static_cast<std::uint32_t>(fi);
-      flow_arcs[w++] = static_cast<std::uint32_t>(next_virtual);
-      ++next_virtual;
-    }
+  for (const std::uint32_t ai : scratch_local_arcs_) {
+    residual[ai] = arcs_[ai].capacity_bps;
+    unfrozen[ai] = 0;
+  }
+  for (const std::uint32_t b : scratch_bundles_) {
+    for (const std::uint32_t ai : bundle_arcs_[b]) unfrozen[ai] += bundle_refs_[b];
+  }
+  for (std::size_t rank = 0; rank < scratch_capped_.size(); ++rank) {
+    const std::uint32_t b = scratch_capped_[rank];
+    const std::uint32_t v = n_global + static_cast<std::uint32_t>(rank);
+    bundle_virtual_[b] = v;
+    residual[v] = slot_rate_cap_[bundle_capped_slot_[b]];
+    unfrozen[v] = 1;
   }
 
   // Progressive filling, one bottleneck arc per round, driven by a lazy
-  // min-heap of (share, local arc). Exact comparisons throughout: ties
-  // break on the local index, which matches the canonical global order.
-  const auto arc_share = [&](std::uint32_t li) {
-    return std::max(0.0, residual[li]) / static_cast<double>(unfrozen[li]);
+  // min-heap of (share, arc key). Exact comparisons throughout: ties break
+  // on the key, i.e. the canonical order above. Every share change pushes a
+  // fresh entry, so each arc's current share always has a live entry and
+  // stale ones are skipped.
+  const auto arc_share = [&](std::uint32_t key) {
+    return std::max(0.0, residual[key]) / static_cast<double>(unfrozen[key]);
   };
   using ShareEntry = std::pair<double, std::uint32_t>;
   const auto later = [](const ShareEntry& a, const ShareEntry& b) {
@@ -724,48 +815,58 @@ void Network::solve_dirty() {
   };
   auto& share_heap = scratch_share_heap_;
   share_heap.clear();
-  share_heap.reserve(n_arcs * 2);
-  for (std::uint32_t li = 0; li < n_arcs; ++li) {
-    if (unfrozen[li] > 0) share_heap.emplace_back(arc_share(li), li);
-  }
+  // One entry per arc up front plus at most one per (bundle, path arc)
+  // freeze: the heap never outgrows this reserve.
+  share_heap.reserve(scratch_local_arcs_.size() + scratch_capped_.size() + n_bundle_arcs);
+  for (const std::uint32_t ai : scratch_local_arcs_) share_heap.emplace_back(arc_share(ai), ai);
+  for (std::uint32_t v = n_global; v < n_keys; ++v) share_heap.emplace_back(arc_share(v), v);
   std::make_heap(share_heap.begin(), share_heap.end(), later);
 
-  auto& frozen = scratch_frozen_;
-  frozen.assign(nf, 0);
-  std::size_t remaining_flows = nf;
-  while (remaining_flows > 0) {
+  std::size_t remaining_bundles = scratch_bundles_.size();
+  std::uint32_t round = 0;
+  while (remaining_bundles > 0) {
     assert(!share_heap.empty());
     std::pop_heap(share_heap.begin(), share_heap.end(), later);
-    const auto [share, li] = share_heap.back();
+    const auto [share, key] = share_heap.back();
     share_heap.pop_back();
-    // Lazy deletion: an entry is live only if it matches the arc's current
-    // share (every share change pushes a fresh entry).
-    if (unfrozen[li] == 0 || share != arc_share(li)) continue;
+    if (unfrozen[key] == 0 || share != arc_share(key)) continue;
+    ++round;
 
-    const auto freeze = [&](std::uint32_t fi) {
-      if (frozen[fi]) return;
-      frozen[fi] = true;
-      --remaining_flows;
-      assign_rate(scratch_flows_[fi], share);
-      for (std::uint32_t k = flow_arc_off[fi]; k < flow_arc_off[fi + 1]; ++k) {
-        const std::uint32_t lj = flow_arcs[k];
-        residual[lj] -= share;
-        --unfrozen[lj];
-        if (lj != li && unfrozen[lj] > 0) {
-          share_heap.emplace_back(arc_share(lj), lj);
+    // Freezing a bundle of k flows is freezing its flows one by one: the
+    // same share comes off each arc's residual k times, in a scalar loop
+    // (k * share would round differently). One fresh entry per arc
+    // replaces the k intermediate ones; only the last was ever live.
+    const auto freeze = [&](std::uint32_t b) {
+      bundle_round_[b] = round;
+      --remaining_bundles;
+      const std::uint32_t k = bundle_refs_[b];
+      for (const std::uint32_t aj : bundle_arcs_[b]) {
+        double r = residual[aj];
+        for (std::uint32_t j = 0; j < k; ++j) r -= share;
+        residual[aj] = r;
+        unfrozen[aj] -= k;
+        if (aj != key && unfrozen[aj] > 0) {
+          share_heap.emplace_back(arc_share(aj), aj);
           std::push_heap(share_heap.begin(), share_heap.end(), later);
         }
       }
+      // A capped singleton's virtual arc has no other member.
+      if (bundle_capped_slot_[b] != kNoSlot) unfrozen[bundle_virtual_[b]] = 0;
     };
-    // All unfrozen members freeze at the same share, so the member list's
-    // (swap-remove) order cannot change any floating-point result.
-    if (li < n_real) {
-      for (const auto& [slot, pi] : arcs_[scratch_local_arcs_[li]].members) {
+    if (key < n_global) {
+      // Rate this round's flows in member order — the per-flow solver's
+      // call order, so completion-heap sifts (heap_ops) do not move. A
+      // bundle freezes the first time one of its flows turns up.
+      for (const auto& [slot, pi] : arcs_[key].members) {
         (void)pi;
-        freeze(slot_local_[slot]);
+        const std::uint32_t b = slot_bundle_[slot];
+        if (bundle_round_[b] == 0) freeze(b);
+        if (bundle_round_[b] == round) assign_rate(slot, share);
       }
     } else {
-      freeze(virtual_member[li - n_real]);
+      const std::uint32_t b = scratch_capped_[key - n_global];
+      freeze(b);
+      assign_rate(bundle_capped_slot_[b], share);
     }
   }
 }

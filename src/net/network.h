@@ -20,6 +20,14 @@
 // solver, which is what tests/net_differential_test.cpp runs side-by-side
 // with the incremental mode.
 //
+// The solver works over PATH BUNDLES, not flows: the uncapped active flows
+// that cross one arc sequence are indistinguishable to max-min, so they
+// form one bundle with a multiplicity k, kept persistently (refcounted,
+// indexed by path hash) as flows come and go. Freezing a bundle subtracts
+// its share k times from each arc's residual, exactly as freezing its k
+// flows one by one did, so bundling changes no rate bit. Capped flows stay
+// singleton bundles with their own virtual cap arc.
+//
 // Per-flow state is COLUMNAR (DESIGN.md §10): a struct-of-arrays arena of
 // parallel flat vectors indexed by slot, with free-list slot reuse. Flow
 // paths and the matching member-list back-references live in two shared
@@ -98,6 +106,9 @@ struct SchedulerStats {
   /// [4^i, 4^(i+1)) arc shares (bucket 0 is [0,4)). The reshare cost
   /// distribution the bench reports; not part of visit().
   std::array<std::uint64_t, 8> solve_size_hist{};
+  /// Path bundles pulled into solve subproblems (flows_visited counts their
+  /// member flows). What the solver's work scales with; not part of visit().
+  std::uint64_t bundles_visited = 0;
 
   /// Mean arc-share evaluations per reshare (the headline incremental win).
   double links_per_reshare() const {
@@ -125,6 +136,10 @@ struct ArenaStats {
   std::size_t path_pool_len = 0;  ///< entries in the shared path pool
   std::uint64_t slot_reuses = 0;  ///< allocations served from the free list
   std::uint64_t path_pool_compactions = 0;
+  /// Path-bundle table height and the bundles holding live flows; the
+  /// difference sits on the bundle free list. Not part of visit().
+  std::size_t bundles = 0;
+  std::size_t live_bundles = 0;
 
   template <typename Fn>
   void visit(Fn&& fn) const {
@@ -137,47 +152,47 @@ struct ArenaStats {
   }
 };
 
-/// Open-addressing FlowId -> slot table (linear probing, power-of-two
-/// capacity, backward-shift deletion). Two flat vectors, no per-entry heap
-/// nodes — the columnar-arena replacement for the old std::unordered_map
-/// id lookup. Keys are FlowIds, which are never 0 (kInvalidFlow), so 0 is
-/// the empty sentinel.
-class FlowSlotIndex {
+/// Open-addressing u64 -> u32 table (linear probing, power-of-two capacity,
+/// backward-shift deletion). Two flat vectors, no per-entry heap nodes — the
+/// columnar-arena replacement for std::unordered_map. Keys are never 0 (the
+/// empty sentinel): the engine keys one table by FlowId (never
+/// kInvalidFlow) and one by path hash (remapped off 0).
+class FlatIndex {
  public:
   std::size_t size() const { return size_; }
 
-  void insert(FlowId id, std::uint32_t slot) {
+  void insert(std::uint64_t key, std::uint32_t value) {
     if ((size_ + 1) * 4 >= keys_.size() * 3) grow();
-    std::size_t i = probe_start(id);
-    while (keys_[i] != kInvalidFlow) i = next(i);
-    keys_[i] = id;
-    vals_[i] = slot;
+    std::size_t i = probe_start(key);
+    while (keys_[i] != kEmpty) i = next(i);
+    keys_[i] = key;
+    vals_[i] = value;
     ++size_;
   }
 
   /// Returns nullptr when absent; the pointer is valid until the next
   /// insert/erase.
-  const std::uint32_t* find(FlowId id) const {
+  const std::uint32_t* find(std::uint64_t key) const {
     if (keys_.empty()) return nullptr;
-    std::size_t i = probe_start(id);
-    while (keys_[i] != kInvalidFlow) {
-      if (keys_[i] == id) return &vals_[i];
+    std::size_t i = probe_start(key);
+    while (keys_[i] != kEmpty) {
+      if (keys_[i] == key) return &vals_[i];
       i = next(i);
     }
     return nullptr;
   }
 
-  bool erase(FlowId id) {
+  bool erase(std::uint64_t key) {
     if (keys_.empty()) return false;
-    std::size_t i = probe_start(id);
-    while (keys_[i] != id) {
-      if (keys_[i] == kInvalidFlow) return false;
+    std::size_t i = probe_start(key);
+    while (keys_[i] != key) {
+      if (keys_[i] == kEmpty) return false;
       i = next(i);
     }
     // Backward-shift deletion keeps probe chains contiguous without
     // tombstones: pull displaced entries back over the hole.
     std::size_t hole = i;
-    for (std::size_t j = next(i); keys_[j] != kInvalidFlow; j = next(j)) {
+    for (std::size_t j = next(i); keys_[j] != kEmpty; j = next(j)) {
       const std::size_t home = probe_start(keys_[j]);
       const bool movable = hole <= j ? (home <= hole || home > j) : (home <= hole && home > j);
       if (movable) {
@@ -186,12 +201,14 @@ class FlowSlotIndex {
         hole = j;
       }
     }
-    keys_[hole] = kInvalidFlow;
+    keys_[hole] = kEmpty;
     --size_;
     return true;
   }
 
  private:
+  static constexpr std::uint64_t kEmpty = 0;
+
   static std::uint64_t mix(std::uint64_t x) {
     x ^= x >> 33;
     x *= 0xff51afd7ed558ccdULL;
@@ -200,22 +217,22 @@ class FlowSlotIndex {
     x ^= x >> 33;
     return x;
   }
-  std::size_t probe_start(FlowId id) const { return mix(id) & (keys_.size() - 1); }
+  std::size_t probe_start(std::uint64_t key) const { return mix(key) & (keys_.size() - 1); }
   std::size_t next(std::size_t i) const { return (i + 1) & (keys_.size() - 1); }
 
   void grow() {
     const std::size_t cap = keys_.empty() ? 16 : keys_.size() * 2;
-    std::vector<FlowId> old_keys = std::move(keys_);
+    std::vector<std::uint64_t> old_keys = std::move(keys_);
     std::vector<std::uint32_t> old_vals = std::move(vals_);
-    keys_.assign(cap, kInvalidFlow);
+    keys_.assign(cap, kEmpty);
     vals_.assign(cap, 0);
     size_ = 0;
     for (std::size_t i = 0; i < old_keys.size(); ++i) {
-      if (old_keys[i] != kInvalidFlow) insert(old_keys[i], old_vals[i]);
+      if (old_keys[i] != kEmpty) insert(old_keys[i], old_vals[i]);
     }
   }
 
-  std::vector<FlowId> keys_;
+  std::vector<std::uint64_t> keys_;
   std::vector<std::uint32_t> vals_;
   std::size_t size_ = 0;
 };
@@ -299,6 +316,8 @@ class Network {
     ArenaStats s = arena_;
     s.slots = slot_id_.size();
     s.path_pool_len = path_pool_.size();
+    s.bundles = bundle_refs_.size();
+    s.live_bundles = bundle_refs_.size() - free_bundles_.size();
     return s;
   }
 
@@ -361,6 +380,8 @@ class Network {
  private:
   /// Sentinel: slot absent from the completion heap.
   static constexpr std::int32_t kNotInHeap = -1;
+  /// Sentinel: no slot (an uncapped bundle's bundle_capped_slot_).
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   /// A slot's segment in the shared path/member-position pools. `cap`
   /// outlives the flow: a freed slot keeps its segment and reuses it in
@@ -378,8 +399,8 @@ class Network {
     /// Cached capacity (avoids the Topology indirection on the hot path).
     double capacity_bps = 0.0;
     /// Active flows crossing the arc as (arena slot, index of this arc in
-    /// that flow's path). Unordered: removal is swap-remove; the solver
-    /// canonicalizes by flow id.
+    /// that flow's path). Unordered: removal is swap-remove, and no rate
+    /// depends on the order (DESIGN.md §9).
     std::vector<std::pair<std::uint32_t, std::uint32_t>> members;
     /// True while the arc sits on the dirty frontier.
     bool dirty = false;
@@ -394,9 +415,16 @@ class Network {
 
   // --- membership / dirty frontier ---------------------------------------
   void mark_dirty(std::uint32_t arc_index);
+  /// Joins/leaves the per-arc member lists and the slot's path bundle.
   void add_membership(std::uint32_t slot);
   void remove_membership(std::uint32_t slot);
   std::uint32_t allocate_slot();
+  /// Puts `slot` into the bundle of its path: an uncapped flow joins the
+  /// live bundle with the same arcs (or founds one); a capped flow always
+  /// gets a fresh, unindexed singleton.
+  void attach_bundle(std::uint32_t slot);
+  /// Drops `slot` from its bundle, freeing the bundle with its last member.
+  void release_bundle(std::uint32_t slot);
   /// Copies `path` into the slot's pool segment, reusing it in place when
   /// it fits and appending a fresh segment (after a possible compaction)
   /// otherwise.
@@ -419,7 +447,7 @@ class Network {
   /// recomputes the complete allocation from scratch.
   void compute_max_min_rates_reference();
   /// Water-filling over the dirty component(s): flood-fills the affected
-  /// flow/arc set, then freezes one bottleneck arc at a time off a lazy
+  /// bundle/arc set, then freezes one bottleneck arc at a time off a lazy
   /// min-heap of arc shares. Clears the dirty frontier.
   void solve_dirty();
   /// Applies a freshly solved rate; no-op (and no heap churn) when the rate
@@ -501,7 +529,22 @@ class Network {
   ArenaStats arena_;
 
   std::vector<std::uint32_t> free_slots_;
-  FlowSlotIndex slot_index_;
+  FlatIndex slot_index_;
+
+  // --- path bundles -------------------------------------------------------
+  // Bundle columns indexed by bundle id; a freed id (refs 0) is recycled
+  // from free_bundles_ and keeps its arc column's capacity, so steady-state
+  // churn allocates nothing.
+  std::vector<std::uint32_t> slot_bundle_;   ///< slot -> bundle id
+  std::vector<std::uint32_t> bundle_refs_;   ///< multiplicity k (live member slots)
+  std::vector<std::vector<std::uint32_t>> bundle_arcs_;  ///< path as arc indices
+  /// Key in bundle_index_; 0 when unindexed (capped, or a hash collision).
+  std::vector<std::uint64_t> bundle_hash_;
+  /// A capped singleton's slot; kNoSlot for an uncapped bundle.
+  std::vector<std::uint32_t> bundle_capped_slot_;
+  std::vector<std::uint32_t> free_bundles_;
+  /// Path hash -> uncapped bundle id; hits are verified against the arcs.
+  FlatIndex bundle_index_;
   std::vector<ArcState> arcs_;
   std::vector<std::uint32_t> dirty_arcs_;
   std::vector<std::uint32_t> finish_heap_;
@@ -511,23 +554,22 @@ class Network {
   // --- solver scratch (reused across solves; epoch-stamped visit marks) ---
   std::uint64_t visit_epoch_ = 0;
   std::vector<std::uint64_t> arc_visit_;
-  std::vector<std::uint64_t> slot_visit_;
-  /// slot -> index into the current solve's sorted flow list.
-  std::vector<std::uint32_t> slot_local_;
-  std::vector<std::uint32_t> scratch_flows_;
+  std::vector<std::uint64_t> bundle_visit_;
+  /// Round of the current solve that froze the bundle; 0 while unfrozen.
+  std::vector<std::uint32_t> bundle_round_;
+  /// A capped bundle's virtual-arc key in the current solve.
+  std::vector<std::uint32_t> bundle_virtual_;
   std::vector<std::uint32_t> scratch_arc_stack_;
   std::vector<std::uint32_t> scratch_local_arcs_;
-  std::vector<std::uint32_t> arc_local_idx_;
+  std::vector<std::uint32_t> scratch_bundles_;
+  std::vector<std::uint32_t> scratch_capped_;
   /// solve_dirty() working set, hoisted out of the solve loop so repeat
-  /// solves are allocation-free in steady state: CSR of the dirty
-  /// component, residual capacities, the share heap, and freeze flags.
-  std::vector<std::uint32_t> scratch_flow_arc_off_;
-  std::vector<std::uint32_t> scratch_flow_arcs_;
+  /// solves are allocation-free in steady state. Residuals and unfrozen
+  /// flow counts are keyed like the share heap: a real arc by its global
+  /// index, a virtual cap arc by num_arcs + its rank in flow-id order.
   std::vector<double> scratch_residual_;
   std::vector<std::uint32_t> scratch_unfrozen_;
-  std::vector<std::uint32_t> scratch_virtual_member_;
   std::vector<std::pair<double, std::uint32_t>> scratch_share_heap_;
-  std::vector<std::uint8_t> scratch_frozen_;
   /// on_completion_event() drained batch (flow, callback, tail latency),
   /// reused across completion events.
   std::vector<std::tuple<Flow, CompletionCallback, double>> scratch_drained_;

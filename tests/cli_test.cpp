@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 
 #include "cli/cli.h"
@@ -172,6 +173,10 @@ TEST(Cli, FullPipeline) {
   result = run_cli({"replay", "--schedule", schedule_path, "--racks", "2"});
   ASSERT_EQ(result.code, 0) << result.err;
   EXPECT_NE(result.out.find("makespan"), std::string::npos);
+  // The replay's scheduler counters follow the summary table.
+  EXPECT_NE(result.out.find("scheduler counter"), std::string::npos);
+  EXPECT_TRUE(std::regex_search(result.out, std::regex(R"((^|\n)solves +[1-9][0-9]*\n)")))
+      << result.out;
 
   // validate
   result = run_cli({"validate", "--model", model_path, "--run", run_base + "_0", "--racks",

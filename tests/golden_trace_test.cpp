@@ -11,6 +11,13 @@
 // which the CLI<->daemon identity check cannot see because both sides
 // render through the same function.
 //
+// A third golden (dense_shared_paths.json) drives net::Network directly with
+// a dense open-loop load: thousands of flows on the 16-host rack tree, so
+// hundreds are live at once on at most 240 host-pair paths. The example
+// scenarios above are mostly capped singletons on distinct paths, so they
+// cannot see a solver that mishandles many flows sharing one path; this one
+// pins every flow's end time and the scheduler counters under that load.
+//
 // When an intentional behaviour change moves the traces, regenerate with:
 //   KEDDAH_REGEN_GOLDEN=1 ctest -R Golden
 // and review the golden diff like any other code change.
@@ -24,9 +31,14 @@
 
 #include "api/specs.h"
 #include "keddah/scenario.h"
+#include "net/network.h"
+#include "util/counters.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace kc = keddah::core;
+namespace kn = keddah::net;
+namespace ks = keddah::sim;
 namespace ku = keddah::util;
 
 namespace {
@@ -126,3 +138,102 @@ INSTANTIATE_TEST_SUITE_P(ExampleScenarios, GoldenTrace,
 INSTANTIATE_TEST_SUITE_P(ExampleScenarios, GoldenWhatIf,
                          ::testing::Values("clean", "crash", "outage", "degraded_link"),
                          [](const auto& info) { return std::string(info.param); });
+
+namespace {
+
+/// One run of the dense shared-path load; `flows` holds a line per resolved
+/// flow in resolution order, `counters` the scheduler counters at the end.
+struct DenseRun {
+  std::string flows;
+  std::string counters;
+  std::size_t peak_live = 0;
+  std::size_t total = 0;
+};
+
+/// 2,400 uncapped flows arrive open-loop on the 4x4 rack tree (1 Gb/s
+/// access, 2 Gb/s ToR uplinks) faster than the fabric drains them, so
+/// hundreds pile up on the 240 host-pair paths. Riding along: 240 flows
+/// capped at one shared 40 Mb/s on six repeated host pairs (the HDFS-write
+/// disk-cap shape), a degrade-and-restore window on one ToR uplink and on
+/// one access link, and a host outage that aborts every flow touching it.
+DenseRun run_dense(bool reference) {
+  ks::Simulator sim;
+  kn::NetworkOptions opts;
+  opts.reference_scheduler = reference;
+  kn::Network net(sim, kn::make_rack_tree(4, 4, 1.0e9, 2.0e9, 5e-5), opts);
+  const auto& topo = net.topology();
+  const auto hosts = topo.hosts();
+  const auto pick = [&](ku::Rng& rng) {
+    return hosts[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(hosts.size()) - 1))];
+  };
+  DenseRun run;
+  std::ostringstream out;
+  const auto record = [&out](const kn::Flow& f) {
+    out << ku::format(R"({"id":%llu,"bytes":%.17g,"end":%.17g,"aborted":%d})",
+                      static_cast<unsigned long long>(f.id), f.bytes.value(), f.end_time,
+                      f.aborted ? 1 : 0)
+        << "\n";
+  };
+  ku::Rng rng(20170605);
+  double t = 0.0;
+  for (std::size_t i = 0; i < 2400; ++i) {
+    t += rng.exponential(1000.0);  // 1,000 arrivals/s, ~20 Gb/s offered
+    const auto src = pick(rng);
+    auto dst = pick(rng);
+    if (dst == src) dst = hosts[(static_cast<std::size_t>(dst) + 1) % hosts.size()];
+    const double bytes = std::min(rng.lognormal(14.0, 1.2), 64.0e6);
+    sim.schedule_at(t, [&net, &record, src, dst, bytes] {
+      net.start_flow(src, dst, ku::Bytes(bytes), {}, record);
+    });
+  }
+  for (std::size_t i = 0; i < 240; ++i) {
+    const std::size_t pair = i % 6;
+    const auto src = hosts[pair];
+    const auto dst = hosts[15 - 2 * pair];
+    const double at = 0.01 * static_cast<double>(i);
+    sim.schedule_at(at, [&net, &record, src, dst] {
+      kn::FlowMeta meta;
+      meta.kind = kn::FlowKind::kHdfsWrite;
+      net.start_flow(src, dst, ku::Bytes(2.0e6), meta, record, ku::Rate::bps(40.0e6));
+    });
+  }
+  const kn::LinkId uplink = topo.links_at(topo.find("tor1")).front();
+  const kn::LinkId access = topo.links_at(topo.find("h9")).front();
+  sim.schedule_at(0.6, [&net, uplink, access] {
+    net.set_link_capacity(uplink, ku::Rate::bps(0.5e9));
+    net.set_link_capacity(access, ku::Rate::bps(0.25e9));
+  });
+  sim.schedule_at(1.4, [&net, uplink, access] {
+    net.set_link_capacity(uplink, ku::Rate::bps(2.0e9));
+    net.set_link_capacity(access, ku::Rate::bps(1.0e9));
+  });
+  const kn::NodeId victim = topo.find("h5");
+  sim.schedule_at(1.1, [&net, victim] {
+    net.set_node_down(victim);
+    net.abort_flows_touching(victim);
+  });
+  sim.schedule_at(1.3, [&net, victim] { net.set_node_up(victim); });
+  while (sim.step()) run.peak_live = std::max(run.peak_live, net.active_flows());
+  run.total = net.total_flows();
+  run.flows = out.str();
+  run.counters = ku::counters_json(net.scheduler_stats()).dump(-1) + "\n";
+  return run;
+}
+
+}  // namespace
+
+// Bundling-sensitive golden: the incremental scheduler's per-flow end times
+// and counters under a dense shared-path load, with the reference scheduler
+// required to agree on every flow.
+TEST(GoldenDense, SharedPathLoadMatchesCheckedInTrace) {
+  unsetenv("KEDDAH_REFERENCE_SCHEDULER");
+  const DenseRun inc = run_dense(false);
+  // The load must actually be dense, or the golden pins nothing about
+  // shared paths.
+  EXPECT_EQ(inc.total, 2640u);
+  EXPECT_GE(inc.peak_live, 300u);
+  const DenseRun ref = run_dense(true);
+  EXPECT_TRUE(inc.flows == ref.flows) << "reference scheduler disagrees on the dense load";
+  expect_matches_golden("dense_shared_paths.json", inc.flows + inc.counters);
+}

@@ -3,6 +3,7 @@
 // accounting, and determinism — the invariants every fabric must satisfy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <map>
@@ -413,4 +414,80 @@ TEST(ArenaChurn, SlotReuseAndCompactionAreInvisibleAcrossFiftySeeds) {
   // condition even at the eager threshold — demand a floor, not a rate.
   EXPECT_GE(seeds_with_reuse, 45u);
   EXPECT_GE(seeds_with_compactions, 10u);
+}
+
+// Path bundles: uncapped flows on one path share a bundle that grows as
+// they arrive and drains as they finish or abort; capped flows on the same
+// path stay singletons; a drained bundle's id is recycled from the free
+// list. The scheduler audit (refcounts, bundle arcs, path index) runs after
+// every event, in both scheduler modes, and both modes must agree on every
+// flow's end time.
+TEST(PathBundles, GrowDrainAndReuseUnderAudit) {
+  std::map<kn::FlowId, double> ends[2];
+  for (const bool reference : {false, true}) {
+    SCOPED_TRACE(reference ? "reference" : "incremental");
+    ks::Simulator sim;
+    kn::NetworkOptions opts;
+    opts.reference_scheduler = reference;
+    kn::Network net(sim, kn::make_rack_tree(2, 4, 1e9, 2e9, 1e-4), opts);
+    const auto& topo = net.topology();
+    const auto h = [&](const char* name) { return topo.find(name); };
+    auto& end = ends[reference ? 1 : 0];
+    const auto record = [&end](const kn::Flow& f) { end[f.id] = f.end_time; };
+    const auto wave = [&](double t0, std::size_t n) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const double at = t0 + 0.002 * static_cast<double>(i);
+        const double bytes = 1e6 * static_cast<double>(1 + i % 7);
+        // One shared path carries uncapped and same-cap capped flows; a
+        // second path shares its destination access arc.
+        sim.schedule_at(at, [&, bytes] {
+          net.start_flow(h("h0"), h("h5"), ku::Bytes(bytes), {}, record);
+        });
+        if (i % 3 == 0) {
+          sim.schedule_at(at, [&, bytes] {
+            net.start_flow(h("h0"), h("h5"), ku::Bytes(bytes / 10), {}, record,
+                           ku::Rate::bps(50e6));
+          });
+        }
+        if (i % 2 == 0) {
+          sim.schedule_at(at, [&, bytes] {
+            net.start_flow(h("h1"), h("h5"), ku::Bytes(2 * bytes), {}, record);
+          });
+        }
+      }
+    };
+    wave(0.0, 24);
+    // Drain part of the bundles early: one h0->h5 flow (id 4), then every
+    // flow of h1.
+    sim.schedule_at(0.03, [&] { net.abort_flow(4); });
+    sim.schedule_at(0.04, [&] { net.abort_flows_touching(h("h1")); });
+    const double second = 3.0;  // after the first wave has fully drained
+    wave(second, 24);
+
+    std::size_t peak_flows = 0, peak_bundles = 0, table_after_first = 0;
+    bool drained_between_waves = false;
+    while (sim.step()) {
+      net.audit_scheduler();
+      const kn::ArenaStats arena = net.arena_stats();
+      EXPECT_LE(arena.live_bundles, arena.live);
+      peak_flows = std::max(peak_flows, arena.live);
+      peak_bundles = std::max(peak_bundles, arena.live_bundles);
+      if (sim.now() < second && arena.live == 0 && !drained_between_waves && peak_flows > 0) {
+        drained_between_waves = true;
+        EXPECT_EQ(arena.live_bundles, 0u);
+        table_after_first = arena.bundles;
+      }
+      if (HasFailure()) return;
+    }
+    ASSERT_TRUE(drained_between_waves);
+    const kn::ArenaStats arena = net.arena_stats();
+    EXPECT_EQ(arena.live_bundles, 0u);
+    // The second wave found every bundle id it needed on the free list.
+    EXPECT_EQ(arena.bundles, table_after_first);
+    // Bundling actually happened: far fewer bundles than flows were live.
+    EXPECT_GE(peak_flows, 20u);
+    EXPECT_LT(2 * peak_bundles, peak_flows);
+    EXPECT_EQ(end.size(), 24u + 8u + 12u + 24u + 8u + 12u);
+  }
+  EXPECT_EQ(ends[0], ends[1]);
 }

@@ -50,6 +50,8 @@ cmake --build "${BUILD}" \
 # sanitizer too. SchedulerDifferential locks the incremental fair-share
 # fast path to the reference recompute, and GoldenTrace pins end-to-end
 # scenario output byte-for-byte — both with the KEDDAH_CHECK audits live.
+# GoldenDense and PathBundles do the same for the solver's path bundles
+# under a dense shared-path load and bundle churn.
 # SourceScan feeds the linters' lexer real sources and seeded corruptions
 # of them, so any out-of-bounds read in it surfaces here. VerdictParity,
 # ScenarioMutation and ModelMutation drive the shared scenario and model
@@ -57,7 +59,7 @@ cmake --build "${BUILD}" \
 # negative-to-unsigned cast or an out-of-bounds read on untrusted JSON
 # surfaces here.
 ctest --test-dir "${BUILD}" --output-on-failure \
-      -R 'ThreadPool|SweepRunner|ParallelDeterminism|DeriveSeed|ResolvedThreads|Network|NodeFailure|TransientOutage|DegradedLink|SlowNode|FaultPlan|Scenario|InvariantAudit|SchedulerDifferential|GoldenTrace|SpecApi|SpecError|Serve|Chaos|Spill|ArenaChurn|SourceScan|VerdictParity|ScenarioMutation|ModelMutation'
+      -R 'ThreadPool|SweepRunner|ParallelDeterminism|DeriveSeed|ResolvedThreads|Network|NodeFailure|TransientOutage|DegradedLink|SlowNode|FaultPlan|Scenario|InvariantAudit|SchedulerDifferential|GoldenTrace|GoldenDense|PathBundles|SpecApi|SpecError|Serve|Chaos|Spill|ArenaChurn|SourceScan|VerdictParity|ScenarioMutation|ModelMutation'
 
 # A quick pass of the scheduler benchmark under the sanitizer: exercises
 # the incremental and reference schedulers back to back on all the
