@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
-#include <memory>
-#include <unordered_map>
+#include <limits>
+#include <vector>
 
 #include "capture/collector.h"
 #include "capture/spill.h"
@@ -13,22 +12,6 @@
 #include "stats/summary.h"
 
 namespace keddah::gen {
-
-namespace {
-/// Finalizes a spill-mode capture and fills the result's spill fields plus
-/// makespan, streamed off the mmap'd file rather than loaded into RAM.
-void finish_spill(capture::FlowCollector& collector, ReplayResult& result) {
-  collector.finalize_spill();
-  result.spilled_records = collector.spilled();
-  result.spill_path = collector.spill_path();
-  capture::SpillReader reader(result.spill_path);
-  double last_end = 0.0;
-  for (std::uint64_t i = 0; i < reader.size(); ++i) {
-    last_end = std::max(last_end, reader.record(i).end);
-  }
-  result.makespan = last_end;
-}
-}  // namespace
 
 double ReplayResult::mean_fct() const { return stats::mean(flow_completion_times); }
 
@@ -66,6 +49,68 @@ net::FlowMeta meta_for_kind(net::FlowKind kind, std::uint32_t job_id) {
   return meta;
 }
 
+namespace {
+/// Marks a completion callback that pumps no fetch window.
+constexpr std::size_t kUngated = std::numeric_limits<std::size_t>::max();
+
+/// Per-destination shuffle fetch window: in-flight count + FIFO backlog.
+struct FetchWindow {
+  std::size_t inflight = 0;
+  std::deque<SyntheticFlow> backlog;
+};
+
+/// The state the scheduled arrivals and the completion callbacks share.
+/// They all run inside Simulator::run() while it lives, so each holds only
+/// a pointer to it: every flow's arrival is queued up front and every
+/// active flow holds a callback, so their closures' size is paid per flow.
+struct ClosedLoop {
+  net::Network& network;
+  ReplayResult& result;
+  const std::vector<net::NodeId>& hosts;
+  std::size_t fetch_slots;
+  std::vector<FetchWindow> windows;
+
+  /// A scheduled flow arrives: it starts, unless it is a shuffle fetch
+  /// whose destination's window is full, which queues.
+  void arrive(const SyntheticFlow& f) {
+    if (f.kind == net::FlowKind::kShuffle) {
+      FetchWindow& window = windows[f.dst_host % hosts.size()];
+      if (window.inflight >= fetch_slots) {
+        window.backlog.push_back(f);
+        return;
+      }
+      ++window.inflight;
+    }
+    launch(f);
+  }
+
+  void launch(const SyntheticFlow& f) {
+    const net::NodeId src = hosts[f.src_host % hosts.size()];
+    net::NodeId dst = hosts[f.dst_host % hosts.size()];
+    if (dst == src) dst = hosts[(f.dst_host + 1) % hosts.size()];
+    const std::size_t window =
+        f.kind == net::FlowKind::kShuffle ? f.dst_host % hosts.size() : kUngated;
+    network.start_flow(src, dst, util::Bytes(f.bytes), meta_for_kind(f.kind),
+                       [this, window](const net::Flow& flow) { finish(flow, window); });
+  }
+
+  /// Records the flow's completion time; a shuffle completion pumps its
+  /// destination's window.
+  void finish(const net::Flow& flow, std::size_t window_index) {
+    result.flow_completion_times.push_back(flow.end_time - flow.submit_time);
+    if (window_index == kUngated) return;
+    FetchWindow& window = windows[window_index];
+    --window.inflight;
+    if (!window.backlog.empty()) {
+      const SyntheticFlow next = window.backlog.front();
+      window.backlog.pop_front();
+      ++window.inflight;
+      launch(next);
+    }
+  }
+};
+}  // namespace
+
 ReplayResult replay_closed_loop(const SyntheticTrafficSchedule& schedule,
                                 const net::Topology& topology, ClosedLoopOptions options) {
   sim::Simulator sim;
@@ -80,101 +125,38 @@ ReplayResult replay_closed_loop(const SyntheticTrafficSchedule& schedule,
   ReplayResult result;
   if (hosts.empty()) return result;
 
-  // Per-destination shuffle fetch windows: in-flight count + FIFO backlog.
-  struct FetchWindow {
-    std::size_t inflight = 0;
-    std::deque<SyntheticFlow> backlog;
-  };
-  auto windows = std::make_shared<std::unordered_map<std::size_t, FetchWindow>>();
-
-  // Launch one flow onto the fabric; shuffle completions pump the window.
-  auto launch = std::make_shared<std::function<void(const SyntheticFlow&)>>();
-  *launch = [&network, &result, &hosts, windows, launch, options](const SyntheticFlow& f) {
-    const net::NodeId src = hosts[f.src_host % hosts.size()];
-    net::NodeId dst = hosts[f.dst_host % hosts.size()];
-    if (dst == src) dst = hosts[(f.dst_host + 1) % hosts.size()];
-    const bool gated = f.kind == net::FlowKind::kShuffle;
-    const std::size_t window_key = f.dst_host % hosts.size();
-    network.start_flow(src, dst, util::Bytes(f.bytes), meta_for_kind(f.kind),
-                       [&result, windows, launch, gated, window_key](const net::Flow& flow) {
-                         result.flow_completion_times.push_back(flow.end_time -
-                                                                flow.submit_time);
-                         if (!gated) return;
-                         auto& window = (*windows)[window_key];
-                         --window.inflight;
-                         if (!window.backlog.empty()) {
-                           const SyntheticFlow next = window.backlog.front();
-                           window.backlog.pop_front();
-                           ++window.inflight;
-                           (*launch)(next);
-                         }
-                       });
-  };
-
+  ClosedLoop loop{network, result, hosts, options.shuffle_fetch_slots,
+                  std::vector<FetchWindow>(hosts.size())};
   for (const auto& f : schedule.flows) {
-    sim.schedule_at(f.start, [launch, windows, f, options, &hosts] {
-      if (f.kind != net::FlowKind::kShuffle) {
-        (*launch)(f);
-        return;
-      }
-      auto& window = (*windows)[f.dst_host % hosts.size()];
-      if (window.inflight < options.shuffle_fetch_slots) {
-        ++window.inflight;
-        (*launch)(f);
-      } else {
-        window.backlog.push_back(f);
-      }
-    });
+    sim.schedule_at(f.start, [&loop, f] { loop.arrive(f); });
   }
   sim.run();
   result.scheduler = network.scheduler_stats();
   if (collector.spilling()) {
-    finish_spill(collector, result);
+    // The makespan streams off the mmap'd spill rather than loading it.
+    collector.finalize_spill();
+    result.spilled_records = collector.spilled();
+    result.spill_path = collector.spill_path();
+    capture::SpillReader reader(result.spill_path);
+    for (std::uint64_t i = 0; i < reader.size(); ++i) {
+      result.makespan = std::max(result.makespan, reader.record(i).end);
+    }
   } else {
     result.trace = collector.take();
     result.makespan = result.trace.empty() ? 0.0 : result.trace.last_end();
   }
-  // Break the launch lambda's self-reference so the shared state frees.
-  *launch = nullptr;
   return result;
 }
 
 ReplayResult replay(const SyntheticTrafficSchedule& schedule, const net::Topology& topology,
                     double loopback_bps, const std::string& spill_dir) {
-  sim::Simulator sim;
-  net::NetworkOptions options;
-  options.loopback = util::Rate::bps(loopback_bps);
-  // The topology is borrowed per call; copy it into the engine.
-  net::Network network(sim, topology, options);
-  capture::CollectorOptions capture_options;
-  capture_options.spill_dir = spill_dir;
-  capture::FlowCollector collector(network, capture_options);
-
-  const auto hosts = network.topology().hosts();
-  ReplayResult result;
-  if (hosts.empty()) return result;
-
-  for (const auto& f : schedule.flows) {
-    const net::NodeId src = hosts[f.src_host % hosts.size()];
-    net::NodeId dst = hosts[f.dst_host % hosts.size()];
-    if (dst == src) dst = hosts[(f.dst_host + 1) % hosts.size()];
-    sim.schedule_at(f.start, [&network, &result, src, dst, f] {
-      network.start_flow(src, dst, util::Bytes(f.bytes), meta_for_kind(f.kind),
-                         [&result](const net::Flow& flow) {
-                           result.flow_completion_times.push_back(flow.end_time -
-                                                                  flow.submit_time);
-                         });
-    });
-  }
-  sim.run();
-  result.scheduler = network.scheduler_stats();
-  if (collector.spilling()) {
-    finish_spill(collector, result);
-  } else {
-    result.trace = collector.take();
-    result.makespan = result.trace.empty() ? 0.0 : result.trace.last_end();
-  }
-  return result;
+  // Open loop is closed loop with an unbounded fetch window: no shuffle
+  // flow ever queues, so every flow starts at its scheduled time.
+  ClosedLoopOptions options;
+  options.shuffle_fetch_slots = std::numeric_limits<std::size_t>::max();
+  options.loopback_bps = loopback_bps;
+  options.spill_dir = spill_dir;
+  return replay_closed_loop(schedule, topology, std::move(options));
 }
 
 }  // namespace keddah::gen

@@ -37,7 +37,8 @@ struct ReplayResult {
 /// Replays `schedule` on `topology`, mapping host index i to the i-th host
 /// (modulo host count). Flows are injected at their scheduled start times
 /// and share bandwidth max-min fairly (OPEN-loop replay: arrival times are
-/// fixed regardless of how congested the fabric is).
+/// fixed regardless of how congested the fabric is). It is
+/// replay_closed_loop with an unbounded shuffle fetch window.
 /// `spill_dir`, when non-empty, streams the capture to an mmap'd spill file
 /// there instead of accumulating it in ReplayResult::trace (long replays on
 /// big fabrics; see capture/spill.h).

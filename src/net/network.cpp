@@ -31,6 +31,9 @@ std::uint64_t path_hash(std::size_t len, IndexAt index_at) {
   }
   return h == 0 ? 1 : h;
 }
+
+/// Inverse of Arc::index() (link * 2 + dir).
+Arc arc_at(std::uint32_t index) { return Arc{index / 2, static_cast<std::uint8_t>(index % 2)}; }
 }  // namespace
 
 const char* flow_kind_name(FlowKind kind) {
@@ -159,18 +162,6 @@ void Network::audit_scheduler() const {
     ++in_use;
     const std::uint32_t* found = slot_index_.find(slot_id_[slot]);
     if (found == nullptr || *found != slot) fail("slot index missing an active flow");
-    const PathRef& pr = slot_path_[slot];
-    if (pr.len > pr.cap) fail("path segment length exceeds its capacity");
-    if (static_cast<std::size_t>(pr.off) + pr.cap > path_pool_.size()) {
-      fail("path segment out of pool bounds");
-    }
-    for (std::uint32_t i = 0; i < pr.len; ++i) {
-      const ArcState& s = arcs_[path_pool_[pr.off + i].index()];
-      const std::uint32_t pos = member_pos_pool_[pr.off + i];
-      if (pos >= s.members.size() || s.members[pos] != std::make_pair(slot, i)) {
-        fail("member back-reference out of sync");
-      }
-    }
     if (slot_heap_pos_[slot] == kNotInHeap ||
         static_cast<std::size_t>(slot_heap_pos_[slot]) >= finish_heap_.size() ||
         finish_heap_[slot_heap_pos_[slot]] != slot) {
@@ -185,19 +176,15 @@ void Network::audit_scheduler() const {
       fail("completion heap order violated");
     }
   }
-  if (member_pos_pool_.size() != path_pool_.size()) {
-    fail("member-position pool size != path pool size");
-  }
+  const std::size_t n_bundles = bundle_refs_.size();
   std::size_t dirty_flags = 0;
   for (std::uint32_t ai = 0; ai < arcs_.size(); ++ai) {
     if (arcs_[ai].dirty) ++dirty_flags;
     for (std::uint32_t pos = 0; pos < arcs_[ai].members.size(); ++pos) {
-      const auto [slot, pi] = arcs_[ai].members[pos];
-      if (slot >= slot_id_.size() || !slot_in_use_[slot]) fail("member refers to a dead slot");
-      const PathRef& pr = slot_path_[slot];
-      if (pi >= pr.len || path_pool_[pr.off + pi].index() != ai ||
-          member_pos_pool_[pr.off + pi] != pos) {
-        fail("member list entry inconsistent with flow path");
+      const auto [b, pi] = arcs_[ai].members[pos];
+      if (b >= n_bundles || bundle_refs_[b] == 0) fail("member list holds a dead bundle");
+      if (pi >= bundle_arcs_[b].size() || bundle_arcs_[b][pi] != std::make_pair(ai, pos)) {
+        fail("member list entry inconsistent with its bundle's path");
       }
     }
   }
@@ -208,49 +195,65 @@ void Network::audit_scheduler() const {
   }
   if (frontier != dirty_flags) fail("dirty flags out of sync with frontier");
 
-  // Path bundles: refcounts match the slots mapped to them, every member's
-  // path is its bundle's path, capped bundles stay unindexed singletons,
-  // and the index holds exactly the live uncapped bundles.
-  const std::size_t n_bundles = bundle_refs_.size();
-  std::vector<std::uint32_t> members(n_bundles, 0);
-  for (std::uint32_t slot = 0; slot < slot_id_.size(); ++slot) {
-    if (!slot_in_use_[slot]) continue;
-    const std::uint32_t b = slot_bundle_[slot];
-    if (b >= n_bundles) fail("slot mapped to an unknown bundle");
-    ++members[b];
-    const PathRef& pr = slot_path_[slot];
-    const std::vector<std::uint32_t>& arcs = bundle_arcs_[b];
-    if (arcs.size() != pr.len) fail("slot path length != its bundle's");
-    for (std::uint32_t i = 0; i < pr.len; ++i) {
-      if (path_pool_[pr.off + i].index() != arcs[i]) fail("slot path != its bundle's arcs");
-    }
-    const bool capped = std::isfinite(slot_rate_cap_[slot]);
-    if (capped != (bundle_capped_slot_[b] != kNoSlot) ||
-        (capped && bundle_capped_slot_[b] != slot)) {
-      fail("capped flow not in its own singleton bundle");
-    }
-  }
+  // Path bundles: each live bundle's member list holds exactly its refcount
+  // of live slots mapped to it (so every live slot sits on one list once),
+  // each arc entry's stored position points back at it, capped bundles stay
+  // unindexed singletons, and the index holds exactly the live uncapped
+  // bundles.
+  const auto same_arcs = [this](std::uint32_t a, std::uint32_t b) {
+    return std::equal(bundle_arcs_[a].begin(), bundle_arcs_[a].end(), bundle_arcs_[b].begin(),
+                      bundle_arcs_[b].end(),
+                      [](const auto& x, const auto& y) { return x.first == y.first; });
+  };
+  std::vector<std::uint32_t> listed(slot_id_.size(), 0);
   std::size_t free_bundles = 0, indexed = 0;
   for (std::uint32_t b = 0; b < n_bundles; ++b) {
-    if (bundle_refs_[b] != members[b]) fail("bundle refcount != slots mapped to it");
     if (bundle_refs_[b] == 0) {
       ++free_bundles;
+      if (bundle_first_[b] != kNoSlot) fail("freed bundle still lists a slot");
       continue;
+    }
+    std::uint32_t count = 0, prev = kNoSlot;
+    for (std::uint32_t slot = bundle_first_[b]; slot != kNoSlot; slot = slot_next_[slot]) {
+      if (slot >= slot_id_.size() || !slot_in_use_[slot]) fail("bundle lists a dead slot");
+      if (slot_bundle_[slot] != b) fail("bundle lists a slot mapped elsewhere");
+      if (slot_prev_[slot] != prev) fail("bundle member list back-link broken");
+      if (++listed[slot] > 1 || ++count > bundle_refs_[b]) fail("bundle lists a slot twice");
+      prev = slot;
+    }
+    if (count != bundle_refs_[b]) fail("bundle refcount != its member list's length");
+    const auto& column = bundle_arcs_[b];
+    for (std::uint32_t i = 0; i < column.size(); ++i) {
+      const auto [ai, pos] = column[i];
+      if (ai >= arcs_.size() || pos >= arcs_[ai].members.size() ||
+          arcs_[ai].members[pos] != std::make_pair(b, i)) {
+        fail("bundle arc position out of sync with the arc's member list");
+      }
     }
     const bool capped = bundle_capped_slot_[b] != kNoSlot;
     if (capped && bundle_refs_[b] > 1) fail("capped bundle with multiplicity > 1");
     if (capped && bundle_hash_[b] != 0) fail("capped bundle indexed");
     if (capped) continue;
-    const std::vector<std::uint32_t>& arcs = bundle_arcs_[b];
-    const std::uint64_t hash = path_hash(arcs.size(), [&arcs](std::size_t i) { return arcs[i]; });
+    const std::uint64_t hash =
+        path_hash(column.size(), [&column](std::size_t i) { return column[i].first; });
     const std::uint32_t* found = bundle_index_.find(hash);
     if (bundle_hash_[b] != 0) {
       ++indexed;
       if (bundle_hash_[b] != hash || found == nullptr || *found != b) {
         fail("uncapped bundle missing from the path index");
       }
-    } else if (found == nullptr || *found == b || bundle_arcs_[*found] == arcs) {
+    } else if (found == nullptr || *found == b || same_arcs(*found, b)) {
       fail("unindexed uncapped bundle without a colliding path");  // collision fallback only
+    }
+  }
+  for (std::uint32_t slot = 0; slot < slot_id_.size(); ++slot) {
+    if (!slot_in_use_[slot]) continue;
+    if (listed[slot] != 1) fail("live slot missing from its bundle's member list");
+    const std::uint32_t b = slot_bundle_[slot];
+    const bool capped = std::isfinite(slot_rate_cap_[slot]);
+    if (capped != (bundle_capped_slot_[b] != kNoSlot) ||
+        (capped && bundle_capped_slot_[b] != slot)) {
+      fail("capped flow not in its own singleton bundle");
     }
   }
   if (indexed != bundle_index_.size()) fail("path index holds a dead or capped bundle");
@@ -291,8 +294,10 @@ const Flow& Network::fill_view(std::uint32_t slot) const {
   view_flow_.rate_bps = slot_rate_[slot];
   view_flow_.rate_cap_bps = slot_rate_cap_[slot];
   view_flow_.remaining = slot_remaining_[slot];
-  const PathRef& pr = slot_path_[slot];
-  view_flow_.path.assign(path_pool_.begin() + pr.off, path_pool_.begin() + pr.off + pr.len);
+  view_flow_.path.clear();
+  for (const auto& entry : bundle_arcs_[slot_bundle_[slot]]) {
+    view_flow_.path.push_back(arc_at(entry.first));
+  }
   view_flow_.done = false;
   view_flow_.aborted = false;
   return view_flow_;
@@ -417,12 +422,11 @@ FlowId Network::start_flow(NodeId src, NodeId dst, util::Bytes bytes, FlowMeta m
                      slot_meta_[slot] = flow.meta;
                      slot_heap_pos_[slot] = kNotInHeap;
                      slot_callback_[slot] = std::move(cb);
-                     assign_path(slot, flow.path);
                      slot_in_use_[slot] = 1;
                      ++arena_.live;
                      arena_.peak_live = std::max(arena_.peak_live, arena_.live);
                      slot_index_.insert(flow.id, slot);
-                     add_membership(slot);
+                     attach_bundle(slot, flow.path);
                      heap_insert(slot);
                      reshare();
                    });
@@ -439,9 +443,8 @@ void Network::materialize(std::uint32_t slot) {
     const util::Bytes moved = std::min(
         slot_remaining_[slot], util::Rate::bps(slot_rate_[slot]) * util::Seconds(dt));
     slot_remaining_[slot] -= moved;  // audited against NaN/negative under KEDDAH_CHECK
-    const PathRef& pr = slot_path_[slot];
-    for (std::uint32_t i = 0; i < pr.len; ++i) {
-      arc_bits_[path_pool_[pr.off + i].index()] += moved.bits();
+    for (const auto& entry : bundle_arcs_[slot_bundle_[slot]]) {
+      arc_bits_[entry.first] += moved.bits();
     }
   }
   slot_last_update_[slot] = now;
@@ -467,9 +470,6 @@ std::uint32_t Network::allocate_slot() {
     const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
     ++arena_.slot_reuses;
-    // The slot's parked pool segment becomes the new occupant's to reuse
-    // (or abandon) in assign_path.
-    path_pool_parked_ -= slot_path_[slot].cap;
     return slot;
   }
   // Grow every column in lockstep; the arena height only ever increases.
@@ -489,161 +489,103 @@ std::uint32_t Network::allocate_slot() {
   slot_meta_.emplace_back();
   slot_heap_pos_.push_back(kNotInHeap);
   slot_in_use_.push_back(0);
-  slot_path_.emplace_back();
   slot_callback_.emplace_back();
   slot_bundle_.push_back(0);
+  slot_next_.push_back(kNoSlot);
+  slot_prev_.push_back(kNoSlot);
   return slot;
 }
 
-void Network::assign_path(std::uint32_t slot, const std::vector<Arc>& path) {
-  PathRef& pr = slot_path_[slot];
+std::uint32_t Network::allocate_bundle() {
+  if (!free_bundles_.empty()) {
+    const std::uint32_t b = free_bundles_.back();
+    free_bundles_.pop_back();
+    return b;
+  }
+  // Grow every bundle column in lockstep; the table height only ever
+  // increases, and the free list never outgrows it.
+  const std::uint32_t b = static_cast<std::uint32_t>(bundle_refs_.size());
+  bundle_refs_.push_back(0);
+  bundle_arcs_.emplace_back();
+  bundle_first_.push_back(kNoSlot);
+  bundle_hash_.push_back(0);
+  bundle_capped_slot_.push_back(kNoSlot);
+  bundle_visit_.push_back(0);
+  bundle_virtual_.push_back(0);
+  free_bundles_.reserve(bundle_refs_.capacity());
+  return b;
+}
+
+// keddah:hot(bundle-membership)
+void Network::attach_bundle(std::uint32_t slot, const std::vector<Arc>& path) {
   const std::uint32_t len = static_cast<std::uint32_t>(path.size());
-  if (len <= pr.cap) {
-    // Reuse in place: steady-state churn through same-shaped flows never
-    // grows the pool.
-    pr.len = len;
-    std::copy(path.begin(), path.end(), path_pool_.begin() + pr.off);
-    return;
-  }
-  // Abandon the too-small segment (dead until the next compaction) and
-  // append a fresh one at the tail.
-  path_pool_dead_ += pr.cap;
-  pr = PathRef{};
-  if (path_pool_.size() >= options_.path_pool_compact_min &&
-      2 * (path_pool_dead_ + path_pool_parked_) >= path_pool_.size()) {
-    compact_path_pool();
-  }
-  pr.off = static_cast<std::uint32_t>(path_pool_.size());
-  pr.len = len;
-  pr.cap = len;
-  path_pool_.insert(path_pool_.end(), path.begin(), path.end());
-  member_pos_pool_.resize(path_pool_.size(), 0);
-}
-
-void Network::compact_path_pool() {
-  // Safe point: only ever called from assign_path, before the slot being
-  // assigned holds a segment and never during a solve. Members reference
-  // (slot, path index), not pool offsets, so moving segments is invisible
-  // to the scheduler.
-  std::vector<Arc> new_path;
-  std::vector<std::uint32_t> new_member_pos;
-  std::size_t live = 0;
-  for (std::uint32_t slot = 0; slot < slot_path_.size(); ++slot) {
-    if (slot_in_use_[slot]) live += slot_path_[slot].len;
-  }
-  new_path.reserve(live);
-  new_member_pos.reserve(live);
-  for (std::uint32_t slot = 0; slot < slot_path_.size(); ++slot) {
-    PathRef& pr = slot_path_[slot];
-    if (!slot_in_use_[slot]) {
-      pr = PathRef{};
-      continue;
-    }
-    const std::uint32_t off = static_cast<std::uint32_t>(new_path.size());
-    new_path.insert(new_path.end(), path_pool_.begin() + pr.off,
-                    path_pool_.begin() + pr.off + pr.len);
-    new_member_pos.insert(new_member_pos.end(), member_pos_pool_.begin() + pr.off,
-                          member_pos_pool_.begin() + pr.off + pr.len);
-    pr.off = off;
-    pr.cap = pr.len;
-  }
-  path_pool_ = std::move(new_path);
-  member_pos_pool_ = std::move(new_member_pos);
-  path_pool_dead_ = 0;
-  path_pool_parked_ = 0;
-  ++arena_.path_pool_compactions;
-}
-
-void Network::add_membership(std::uint32_t slot) {
-  attach_bundle(slot);
-  const PathRef& pr = slot_path_[slot];
-  for (std::uint32_t i = 0; i < pr.len; ++i) {
-    const std::uint32_t ai = path_pool_[pr.off + i].index();
-    ArcState& s = arcs_[ai];
-    member_pos_pool_[pr.off + i] = static_cast<std::uint32_t>(s.members.size());
-    s.members.emplace_back(slot, i);
-    mark_dirty(ai);
-  }
-}
-
-void Network::remove_membership(std::uint32_t slot) {
-  release_bundle(slot);
-  const PathRef& pr = slot_path_[slot];
-  for (std::uint32_t i = 0; i < pr.len; ++i) {
-    const std::uint32_t ai = path_pool_[pr.off + i].index();
-    ArcState& s = arcs_[ai];
-    const std::uint32_t pos = member_pos_pool_[pr.off + i];
-    const auto moved = s.members.back();
-    s.members[pos] = moved;
-    s.members.pop_back();
-    if (moved.first != slot) {
-      const PathRef& mp = slot_path_[moved.first];
-      member_pos_pool_[mp.off + moved.second] = pos;
-    }
-    mark_dirty(ai);
-  }
-}
-
-void Network::attach_bundle(std::uint32_t slot) {
-  const PathRef& pr = slot_path_[slot];
-  const Arc* arcs = path_pool_.data() + pr.off;
   const bool capped = std::isfinite(slot_rate_cap_[slot]);
   std::uint64_t hash = 0;
+  const std::uint32_t* live = nullptr;  // the live bundle with this path
   if (!capped) {
-    hash = path_hash(pr.len, [arcs](std::size_t i) { return arcs[i].index(); });
-    if (const std::uint32_t* found = bundle_index_.find(hash)) {
-      const std::vector<std::uint32_t>& same = bundle_arcs_[*found];
-      if (same.size() == pr.len &&
-          std::equal(same.begin(), same.end(), arcs,
-                     [](std::uint32_t ai, const Arc& arc) { return ai == arc.index(); })) {
-        ++bundle_refs_[*found];
-        slot_bundle_[slot] = *found;
-        return;
-      }
+    hash = path_hash(len, [&path](std::size_t i) { return path[i].index(); });
+    live = bundle_index_.find(hash);
+    if (live != nullptr &&
+        !std::equal(bundle_arcs_[*live].begin(), bundle_arcs_[*live].end(), path.begin(),
+                    path.end(),
+                    [](const auto& entry, const Arc& arc) { return entry.first == arc.index(); })) {
+      live = nullptr;
       hash = 0;  // a different path under the same hash: bundle it alone
     }
   }
-  std::uint32_t b;
-  if (!free_bundles_.empty()) {
-    b = free_bundles_.back();
-    free_bundles_.pop_back();
-  } else {
-    b = static_cast<std::uint32_t>(bundle_refs_.size());
-    bundle_refs_.push_back(0);
-    bundle_arcs_.emplace_back();
-    bundle_hash_.push_back(0);
-    bundle_capped_slot_.push_back(kNoSlot);
-    bundle_visit_.push_back(0);
-    bundle_round_.push_back(0);
-    bundle_virtual_.push_back(0);
+  const std::uint32_t b = live != nullptr ? *live : allocate_bundle();
+  if (live == nullptr) {
+    // Founding is the only time a flow's arrival touches the arc lists.
+    bundle_hash_[b] = hash;
+    bundle_capped_slot_[b] = capped ? slot : kNoSlot;
+    auto& column = bundle_arcs_[b];
+    column.resize(len);
+    for (std::uint32_t i = 0; i < len; ++i) {
+      auto& members = arcs_[path[i].index()].members;
+      column[i] = {path[i].index(), static_cast<std::uint32_t>(members.size())};
+      // archlint:allow(hot-push-back): founding only; lists keep their capacity
+      members.emplace_back(b, i);
+    }
+    if (hash != 0) bundle_index_.insert(hash, b);
   }
-  bundle_refs_[b] = 1;
-  bundle_hash_[b] = hash;
-  bundle_capped_slot_[b] = capped ? slot : kNoSlot;
-  std::vector<std::uint32_t>& column = bundle_arcs_[b];
-  column.resize(pr.len);
-  for (std::uint32_t i = 0; i < pr.len; ++i) column[i] = arcs[i].index();
-  if (hash != 0) bundle_index_.insert(hash, b);
+  ++bundle_refs_[b];
   slot_bundle_[slot] = b;
+  slot_prev_[slot] = kNoSlot;
+  slot_next_[slot] = bundle_first_[b];
+  if (bundle_first_[b] != kNoSlot) slot_prev_[bundle_first_[b]] = slot;
+  bundle_first_[b] = slot;
+  // A new member changes every arc's load, whether or not it founded.
+  for (const Arc& arc : path) mark_dirty(arc.index());
 }
 
+// keddah:hot(bundle-membership)
 void Network::release_bundle(std::uint32_t slot) {
   const std::uint32_t b = slot_bundle_[slot];
+  const std::uint32_t prev = slot_prev_[slot];
+  const std::uint32_t next = slot_next_[slot];
+  (prev != kNoSlot ? slot_next_[prev] : bundle_first_[b]) = next;
+  if (next != kNoSlot) slot_prev_[next] = prev;
+  for (const auto& entry : bundle_arcs_[b]) mark_dirty(entry.first);
   if (--bundle_refs_[b] > 0) return;
+  // Free the bundle: swap-remove it from each arc's member list and point
+  // the entry moved into its place at its new position.
+  for (const auto& [ai, pos] : bundle_arcs_[b]) {
+    auto& members = arcs_[ai].members;
+    const auto moved = members.back();
+    members[pos] = moved;
+    members.pop_back();
+    bundle_arcs_[moved.first][moved.second].second = pos;
+  }
   if (bundle_hash_[b] != 0) bundle_index_.erase(bundle_hash_[b]);
   free_bundles_.push_back(b);
 }
 
 std::pair<Flow, Network::CompletionCallback> Network::detach(std::uint32_t slot) {
-  remove_membership(slot);
+  release_bundle(slot);
   heap_erase(slot);
   slot_index_.erase(slot_id_[slot]);
   slot_in_use_[slot] = 0;
   --arena_.live;
-  // The slot keeps its pool segment parked for its next occupant; only the
-  // length is cleared so audits and compaction see it as empty.
-  path_pool_parked_ += slot_path_[slot].cap;
-  slot_path_[slot].len = 0;
   Flow flow;
   flow.id = slot_id_[slot];
   flow.src = slot_src_[slot];
@@ -656,7 +598,7 @@ std::pair<Flow, Network::CompletionCallback> Network::detach(std::uint32_t slot)
   flow.rate_cap_bps = slot_rate_cap_[slot];
   flow.remaining = slot_remaining_[slot];
   // flow.path stays empty: nothing downstream of detach reads it, and
-  // copying it out of the pool would be the hot path's only allocation.
+  // copying it out of the bundle would be the hot path's only allocation.
   CompletionCallback cb = std::move(slot_callback_[slot]);
   slot_callback_[slot] = nullptr;
   free_slots_.push_back(slot);
@@ -726,25 +668,21 @@ void Network::solve_dirty() {
   // that contain a dirty arc. Rates of flows outside these components are
   // unaffected by whatever changed (max-min decomposes exactly over
   // components), so their cached values stand. The per-arc member lists
-  // name flows; a bundle's path is walked only the first time one of its
-  // flows turns up.
+  // name bundles; a bundle's path is walked the first time it turns up.
   std::size_t n_flows = 0;
   std::size_t n_bundle_arcs = 0;
   while (!scratch_arc_stack_.empty()) {
     const std::uint32_t ai = scratch_arc_stack_.back();
     scratch_arc_stack_.pop_back();
     scratch_local_arcs_.push_back(ai);
-    for (const auto& [slot, pi] : arcs_[ai].members) {
-      (void)pi;
-      const std::uint32_t b = slot_bundle_[slot];
+    for (const auto& [b, pi] : arcs_[ai].members) {
       if (bundle_visit_[b] == epoch) continue;
       bundle_visit_[b] = epoch;
-      bundle_round_[b] = 0;
       scratch_bundles_.push_back(b);
       if (bundle_capped_slot_[b] != kNoSlot) scratch_capped_.push_back(b);
       n_flows += bundle_refs_[b];
       n_bundle_arcs += bundle_arcs_[b].size();
-      for (const std::uint32_t aj : bundle_arcs_[b]) {
+      for (const auto& [aj, pos] : bundle_arcs_[b]) {
         if (arc_visit_[aj] != epoch) {
           arc_visit_[aj] = epoch;
           scratch_arc_stack_.push_back(aj);
@@ -790,7 +728,7 @@ void Network::solve_dirty() {
     unfrozen[ai] = 0;
   }
   for (const std::uint32_t b : scratch_bundles_) {
-    for (const std::uint32_t ai : bundle_arcs_[b]) unfrozen[ai] += bundle_refs_[b];
+    for (const auto& entry : bundle_arcs_[b]) unfrozen[entry.first] += bundle_refs_[b];
   }
   for (std::size_t rank = 0; rank < scratch_capped_.size(); ++rank) {
     const std::uint32_t b = scratch_capped_[rank];
@@ -823,24 +761,22 @@ void Network::solve_dirty() {
   std::make_heap(share_heap.begin(), share_heap.end(), later);
 
   std::size_t remaining_bundles = scratch_bundles_.size();
-  std::uint32_t round = 0;
   while (remaining_bundles > 0) {
     assert(!share_heap.empty());
     std::pop_heap(share_heap.begin(), share_heap.end(), later);
     const auto [share, key] = share_heap.back();
     share_heap.pop_back();
     if (unfrozen[key] == 0 || share != arc_share(key)) continue;
-    ++round;
 
     // Freezing a bundle of k flows is freezing its flows one by one: the
     // same share comes off each arc's residual k times, in a scalar loop
     // (k * share would round differently). One fresh entry per arc
     // replaces the k intermediate ones; only the last was ever live.
     const auto freeze = [&](std::uint32_t b) {
-      bundle_round_[b] = round;
+      bundle_visit_[b] = 0;  // frozen: out of this solve's unfrozen set
       --remaining_bundles;
       const std::uint32_t k = bundle_refs_[b];
-      for (const std::uint32_t aj : bundle_arcs_[b]) {
+      for (const auto& [aj, pos] : bundle_arcs_[b]) {
         double r = residual[aj];
         for (std::uint32_t j = 0; j < k; ++j) r -= share;
         residual[aj] = r;
@@ -854,14 +790,15 @@ void Network::solve_dirty() {
       if (bundle_capped_slot_[b] != kNoSlot) unfrozen[bundle_virtual_[b]] = 0;
     };
     if (key < n_global) {
-      // Rate this round's flows in member order — the per-flow solver's
-      // call order, so completion-heap sifts (heap_ops) do not move. A
-      // bundle freezes the first time one of its flows turns up.
-      for (const auto& [slot, pi] : arcs_[key].members) {
-        (void)pi;
-        const std::uint32_t b = slot_bundle_[slot];
-        if (bundle_round_[b] == 0) freeze(b);
-        if (bundle_round_[b] == round) assign_rate(slot, share);
+      // Every unfrozen bundle on the bottleneck freezes this round, in
+      // member order; its flows are rated together (bundle-major), which
+      // fixes the completion heap's sift order.
+      for (const auto& [b, pi] : arcs_[key].members) {
+        if (bundle_visit_[b] != epoch) continue;
+        freeze(b);
+        for (std::uint32_t slot = bundle_first_[b]; slot != kNoSlot; slot = slot_next_[slot]) {
+          assign_rate(slot, share);
+        }
       }
     } else {
       const std::uint32_t b = scratch_capped_[key - n_global];

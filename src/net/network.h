@@ -8,8 +8,8 @@
 // documented substitution for the paper's replay substrate (DESIGN.md §2).
 //
 // The fair-share hot path is INCREMENTAL (DESIGN.md §9): the engine keeps
-// per-arc active-flow member lists and a dirty-arc frontier, and a reshare
-// only re-solves the connected component(s) of the flow/arc sharing graph
+// per-arc member lists of path bundles and a dirty-arc frontier, and a
+// reshare only re-solves the connected component(s) of the bundle/arc graph
 // that a dirty arc can reach — flows elsewhere keep their cached rates.
 // Because the solver freezes one bottleneck arc at a time with exact share
 // comparisons (no tolerance batching), the allocation decomposes exactly
@@ -23,18 +23,20 @@
 // The solver works over PATH BUNDLES, not flows: the uncapped active flows
 // that cross one arc sequence are indistinguishable to max-min, so they
 // form one bundle with a multiplicity k, kept persistently (refcounted,
-// indexed by path hash) as flows come and go. Freezing a bundle subtracts
-// its share k times from each arc's residual, exactly as freezing its k
-// flows one by one did, so bundling changes no rate bit. Capped flows stay
+// indexed by path hash) as flows come and go. The bundle is the only owner
+// of a path: the per-arc member lists name bundles, and a flow touches them
+// only when its bundle is founded or freed. Freezing a bundle subtracts its
+// share k times from each arc's residual, exactly as freezing its k flows
+// one by one did, so bundling changes no rate bit. Capped flows stay
 // singleton bundles with their own virtual cap arc.
 //
 // Per-flow state is COLUMNAR (DESIGN.md §10): a struct-of-arrays arena of
-// parallel flat vectors indexed by slot, with free-list slot reuse. Flow
-// paths and the matching member-list back-references live in two shared
-// flat pools addressed by (offset, length, capacity) per slot — no
-// per-flow heap nodes anywhere on the hot path, and the id->slot lookup is
-// an open-addressing flat table rather than std::unordered_map. The public
-// API still speaks `Flow`: lookups materialize a view on demand.
+// parallel flat vectors indexed by slot, with free-list slot reuse. A
+// flow's path is read through its bundle, and a bundle's member slots are
+// threaded through two slot columns — no per-flow heap nodes anywhere on
+// the hot path, and the id->slot lookup is an open-addressing flat table
+// rather than std::unordered_map. The public API still speaks `Flow`:
+// lookups materialize a view on demand.
 #pragma once
 
 #include <array>
@@ -73,13 +75,6 @@ struct NetworkOptions {
   /// (any value other than "0") forces this on regardless of the field, so
   /// whole pipelines can be flipped without code changes.
   bool reference_scheduler = false;
-  /// Compaction floor for the shared columnar path pool: the pool compacts
-  /// (dropping segments abandoned by slot churn) only once it holds at
-  /// least this many entries and at least half of them are dead. Lower it
-  /// to force frequent compactions (the arena property tests do); raising
-  /// it trades memory for fewer O(pool) rebuilds. Compaction is invisible
-  /// to scheduling — it moves bytes, never changes any rate or order.
-  std::size_t path_pool_compact_min = 4096;
 };
 
 /// Per-traffic-class byte ledger kept by the engine. The conservation
@@ -128,14 +123,16 @@ struct SchedulerStats {
 };
 
 /// Occupancy counters for the columnar flow arena (bench/perf_scale emits
-/// them; the arena property tests pin compaction behaviour with them).
+/// them; the arena property tests pin slot and bundle reuse with them).
 struct ArenaStats {
   std::size_t slots = 0;          ///< arena height (allocated slot columns)
   std::size_t live = 0;           ///< slots currently holding an active flow
   std::size_t peak_live = 0;      ///< high-water mark of live
-  std::size_t path_pool_len = 0;  ///< entries in the shared path pool
+  /// Arc entries held by the bundle table, the only path store: the
+  /// length of every bundle's arc column, live or on the free list (a
+  /// freed column keeps its entries for the id's next owner).
+  std::size_t path_pool_len = 0;
   std::uint64_t slot_reuses = 0;  ///< allocations served from the free list
-  std::uint64_t path_pool_compactions = 0;
   /// Path-bundle table height and the bundles holding live flows; the
   /// difference sits on the bundle free list. Not part of visit().
   std::size_t bundles = 0;
@@ -148,7 +145,6 @@ struct ArenaStats {
     fn("peak_live", peak_live);
     fn("path_pool_len", path_pool_len);
     fn("slot_reuses", slot_reuses);
-    fn("path_pool_compactions", path_pool_compactions);
   }
 };
 
@@ -311,11 +307,11 @@ class Network {
   /// Scheduler perf counters (reshares, links touched, heap ops, ...).
   const SchedulerStats& scheduler_stats() const { return sched_stats_; }
 
-  /// Columnar-arena occupancy counters (slots, pool size, compactions).
+  /// Columnar-arena occupancy counters (slots, bundle table size).
   ArenaStats arena_stats() const {
     ArenaStats s = arena_;
     s.slots = slot_id_.size();
-    s.path_pool_len = path_pool_.size();
+    for (const auto& column : bundle_arcs_) s.path_pool_len += column.size();
     s.bundles = bundle_refs_.size();
     s.live_bundles = bundle_refs_.size() - free_bundles_.size();
     return s;
@@ -346,11 +342,11 @@ class Network {
   void audit_conservation() const;
 
   /// Audits the scheduler's internal structures: per-arc member lists and
-  /// back-references consistent, completion heap well-formed, dirty flags in
-  /// sync with the frontier, columnar path pool segments in bounds. Throws
-  /// util::AuditError on breach. Cheap enough for tests to call after every
-  /// event; KEDDAH_CHECK builds do not call it automatically (it is
-  /// O(active flows x path)).
+  /// bundle back-references consistent, bundle member lists holding each
+  /// live slot once, completion heap well-formed, dirty flags in sync with
+  /// the frontier. Throws util::AuditError on breach. Cheap enough for
+  /// tests to call after every event; KEDDAH_CHECK builds do not call it
+  /// automatically (it is O(active bundles x path + arena slots)).
   void audit_scheduler() const;
 
   /// Looks up an active flow; returns nullptr if finished or unknown. The
@@ -380,26 +376,16 @@ class Network {
  private:
   /// Sentinel: slot absent from the completion heap.
   static constexpr std::int32_t kNotInHeap = -1;
-  /// Sentinel: no slot (an uncapped bundle's bundle_capped_slot_).
+  /// Sentinel: no slot (an uncapped bundle's bundle_capped_slot_, the end
+  /// of a bundle's member list).
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-
-  /// A slot's segment in the shared path/member-position pools. `cap`
-  /// outlives the flow: a freed slot keeps its segment and reuses it in
-  /// place when the next occupant's path fits, so steady-state churn
-  /// allocates nothing. Segments abandoned by a longer path become dead
-  /// bytes reclaimed by compact_path_pool().
-  struct PathRef {
-    std::uint32_t off = 0;
-    std::uint32_t len = 0;
-    std::uint32_t cap = 0;
-  };
 
   /// Per-directed-arc scheduler state (indexed by Arc::index()).
   struct ArcState {
     /// Cached capacity (avoids the Topology indirection on the hot path).
     double capacity_bps = 0.0;
-    /// Active flows crossing the arc as (arena slot, index of this arc in
-    /// that flow's path). Unordered: removal is swap-remove, and no rate
+    /// Live bundles crossing the arc as (bundle id, index of this arc in
+    /// that bundle's path). Unordered: removal is swap-remove, and no rate
     /// depends on the order (DESIGN.md §9).
     std::vector<std::pair<std::uint32_t, std::uint32_t>> members;
     /// True while the arc sits on the dirty frontier.
@@ -415,26 +401,21 @@ class Network {
 
   // --- membership / dirty frontier ---------------------------------------
   void mark_dirty(std::uint32_t arc_index);
-  /// Joins/leaves the per-arc member lists and the slot's path bundle.
-  void add_membership(std::uint32_t slot);
-  void remove_membership(std::uint32_t slot);
   std::uint32_t allocate_slot();
-  /// Puts `slot` into the bundle of its path: an uncapped flow joins the
-  /// live bundle with the same arcs (or founds one); a capped flow always
-  /// gets a fresh, unindexed singleton.
-  void attach_bundle(std::uint32_t slot);
-  /// Drops `slot` from its bundle, freeing the bundle with its last member.
+  /// A bundle id off the free list, or a fresh one at the table's end.
+  std::uint32_t allocate_bundle();
+  /// Puts `slot` into the bundle of `path` and marks the path's arcs dirty:
+  /// an uncapped flow joins the live bundle with the same arcs (or founds
+  /// one); a capped flow always founds a fresh, unindexed singleton. Only a
+  /// founding bundle enters the per-arc member lists.
+  void attach_bundle(std::uint32_t slot, const std::vector<Arc>& path);
+  /// Drops `slot` from its bundle and marks the bundle's arcs dirty; the
+  /// bundle leaves the per-arc member lists (and the index) with its last
+  /// member.
   void release_bundle(std::uint32_t slot);
-  /// Copies `path` into the slot's pool segment, reusing it in place when
-  /// it fits and appending a fresh segment (after a possible compaction)
-  /// otherwise.
-  void assign_path(std::uint32_t slot, const std::vector<Arc>& path);
-  /// Rebuilds the path/member-position pools with only live segments,
-  /// dropping dead bytes abandoned by slot churn.
-  void compact_path_pool();
   /// Detaches an active flow from every scheduler structure and frees its
-  /// slot; returns the flow (scalar fields only; the columnar path is not
-  /// copied out) + callback for the caller to resolve.
+  /// slot; returns the flow (scalar fields only; the path is not copied
+  /// out) + callback for the caller to resolve.
   std::pair<Flow, CompletionCallback> detach(std::uint32_t slot);
   /// Materializes a Flow view of `slot` into view_flow_ (path included).
   const Flow& fill_view(std::uint32_t slot) const;
@@ -513,18 +494,7 @@ class Network {
   std::vector<FlowMeta> slot_meta_;
   std::vector<std::int32_t> slot_heap_pos_;
   std::vector<std::uint8_t> slot_in_use_;
-  std::vector<PathRef> slot_path_;
   std::vector<CompletionCallback> slot_callback_;
-  /// Shared pools addressed by slot_path_: the flow's arcs and, parallel to
-  /// them, the flow's position in each arc's member list (maintained
-  /// through swap-removes).
-  std::vector<Arc> path_pool_;
-  std::vector<std::uint32_t> member_pos_pool_;
-  /// Dead pool entries: segments abandoned when a reused slot needed a
-  /// longer one, plus segments parked on the free list at last compaction.
-  std::size_t path_pool_dead_ = 0;
-  /// Pool entries parked with free-list slots (reusable, not yet dead).
-  std::size_t path_pool_parked_ = 0;
   /// Arena counters; slots and path_pool_len are derived in arena_stats().
   ArenaStats arena_;
 
@@ -536,8 +506,15 @@ class Network {
   // from free_bundles_ and keeps its arc column's capacity, so steady-state
   // churn allocates nothing.
   std::vector<std::uint32_t> slot_bundle_;   ///< slot -> bundle id
+  /// A bundle's member slots as an intrusive doubly linked list threaded
+  /// through two slot columns (kNoSlot ends it), headed by bundle_first_.
+  std::vector<std::uint32_t> slot_next_;
+  std::vector<std::uint32_t> slot_prev_;
+  std::vector<std::uint32_t> bundle_first_;
   std::vector<std::uint32_t> bundle_refs_;   ///< multiplicity k (live member slots)
-  std::vector<std::vector<std::uint32_t>> bundle_arcs_;  ///< path as arc indices
+  /// The bundle's path as (arc index, position of the bundle in that arc's
+  /// member list); the positions follow the lists' swap-removes.
+  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> bundle_arcs_;
   /// Key in bundle_index_; 0 when unindexed (capped, or a hash collision).
   std::vector<std::uint64_t> bundle_hash_;
   /// A capped singleton's slot; kNoSlot for an uncapped bundle.
@@ -554,9 +531,9 @@ class Network {
   // --- solver scratch (reused across solves; epoch-stamped visit marks) ---
   std::uint64_t visit_epoch_ = 0;
   std::vector<std::uint64_t> arc_visit_;
+  /// The current epoch while the bundle is in the solve's component and
+  /// unfrozen; freezing resets it to 0.
   std::vector<std::uint64_t> bundle_visit_;
-  /// Round of the current solve that froze the bundle; 0 while unfrozen.
-  std::vector<std::uint32_t> bundle_round_;
   /// A capped bundle's virtual-arc key in the current solve.
   std::vector<std::uint32_t> bundle_virtual_;
   std::vector<std::uint32_t> scratch_arc_stack_;

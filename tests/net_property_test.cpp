@@ -289,29 +289,29 @@ INSTANTIATE_TEST_SUITE_P(AllTopologies, NetworkProperty,
 
 namespace {
 
-/// Everything observable from one churn run, keyed by flow id. Two runs of
-/// the same seed must produce equal ChurnResults regardless of how the
-/// arena recycles slots or compacts its path pool underneath.
+/// Everything observable from one churn run, keyed by flow id. The
+/// incremental and reference schedulers must produce equal ChurnResults for
+/// the same seed, however the arena recycles slots and bundle ids.
 struct ChurnResult {
   /// (end_time, delivered bytes, aborted, src, dst) per completed flow.
   std::map<kn::FlowId, std::tuple<double, double, bool, kn::NodeId, kn::NodeId>> flows;
-  kn::SchedulerStats scheduler;
   kn::ArenaStats arena;
   double delivered = 0.0;
   double aborted_bytes = 0.0;
+  /// True once a bundle was founded from the free list (a recycled id).
+  bool reused_bundle = false;
 };
 
 /// A slot-churn workload: short overlapping waves of flows with frequent
-/// completions, targeted aborts, and node-down windows, so arena slots are
-/// freed and reallocated constantly and abandoned path segments pile up.
-/// `compact_min` tunes NetworkOptions::path_pool_compact_min — a tiny value
-/// makes the pool compact aggressively mid-run, the default almost never.
-ChurnResult run_churn(std::uint64_t seed, std::size_t compact_min) {
+/// completions, targeted aborts, and node-down windows, so arena slots and
+/// bundle ids are freed and reallocated constantly. The scheduler audit
+/// runs after every event.
+ChurnResult run_churn(std::uint64_t seed, bool reference) {
   unsetenv("KEDDAH_REFERENCE_SCHEDULER");
   ks::Simulator sim;
   kn::NetworkOptions opts;
   opts.model_latency = false;
-  opts.path_pool_compact_min = compact_min;
+  opts.reference_scheduler = reference;
   kn::Network net(sim, kn::make_fat_tree(4, 1e9, 1e-4, 2.0), opts);
   const auto hosts = net.topology().hosts();
   ChurnResult result;
@@ -339,7 +339,7 @@ ChurnResult run_churn(std::uint64_t seed, std::size_t compact_min) {
     }
     // Churn events per wave: a targeted abort and, on some waves, a host
     // outage that aborts everything touching it (freeing several slots and
-    // abandoning their path segments at once).
+    // bundles at once).
     const auto victim =
         static_cast<kn::FlowId>(rng.uniform_int(1, static_cast<std::int64_t>(flow_counter)));
     sim.schedule_at(t0 + rng.uniform(0.05, 0.35), [&net, victim] { net.abort_flow(victim); });
@@ -354,10 +354,17 @@ ChurnResult run_churn(std::uint64_t seed, std::size_t compact_min) {
       sim.schedule_at(at + 0.2, [&net, node] { net.set_node_up(node); });
     }
   }
-  sim.run();
-  net.audit_scheduler();      // arena/pool cross-links consistent at quiescence
-  net.audit_conservation();   // offered == delivered + aborted, per class
-  result.scheduler = net.scheduler_stats();
+  kn::ArenaStats before = net.arena_stats();
+  while (sim.step()) {
+    net.audit_scheduler();  // member lists, bundle lists, heap consistent
+    const kn::ArenaStats after = net.arena_stats();
+    // A bundle founded without growing the table came off the free list.
+    if (after.live_bundles > before.live_bundles && after.bundles == before.bundles) {
+      result.reused_bundle = true;
+    }
+    before = after;
+  }
+  net.audit_conservation();  // offered == delivered + aborted, per class
   result.arena = net.arena_stats();
   result.delivered = net.delivered_bytes().value();
   result.aborted_bytes = net.aborted_bytes().value();
@@ -367,53 +374,42 @@ ChurnResult run_churn(std::uint64_t seed, std::size_t compact_min) {
 
 }  // namespace
 
-// 50 seeded churn scenarios, each run twice: with the default (lazy)
-// compaction threshold and with an eager one that forces the path pool to
-// compact repeatedly mid-run. Compaction and slot reuse are pure storage
-// moves — flow identity, completion times, byte ledgers, and every
-// SchedulerStats counter must be bit-identical across the two runs.
-TEST(ArenaChurn, SlotReuseAndCompactionAreInvisibleAcrossFiftySeeds) {
-  std::uint64_t seeds_with_compactions = 0;
+// 50 seeded churn scenarios, each run in the incremental and the reference
+// scheduler with the scheduler audit after every event. Slot and bundle-id
+// recycling are storage moves: flow identity, completion times and byte
+// ledgers must be bit-identical across the two modes.
+TEST(ArenaChurn, SlotAndBundleReuseAgreeAcrossModesOverFiftySeeds) {
   std::uint64_t seeds_with_reuse = 0;
+  std::uint64_t seeds_with_bundle_reuse = 0;
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const ChurnResult lazy = run_churn(seed, /*compact_min=*/4096);
-    const ChurnResult eager = run_churn(seed, /*compact_min=*/1);
+    const ChurnResult incremental = run_churn(seed, /*reference=*/false);
+    if (HasFailure()) return;
+    const ChurnResult reference = run_churn(seed, /*reference=*/true);
+    if (HasFailure()) return;
 
-    EXPECT_EQ(lazy.delivered, eager.delivered);
-    EXPECT_EQ(lazy.aborted_bytes, eager.aborted_bytes);
-    ASSERT_EQ(lazy.flows.size(), eager.flows.size());
-    for (const auto& [id, got] : lazy.flows) {
-      const auto it = eager.flows.find(id);
-      ASSERT_NE(it, eager.flows.end()) << "flow " << id << " lost under eager compaction";
+    EXPECT_EQ(incremental.delivered, reference.delivered);
+    EXPECT_EQ(incremental.aborted_bytes, reference.aborted_bytes);
+    ASSERT_EQ(incremental.flows.size(), reference.flows.size());
+    for (const auto& [id, got] : incremental.flows) {
+      const auto it = reference.flows.find(id);
+      ASSERT_NE(it, reference.flows.end()) << "flow " << id << " lost in reference mode";
       EXPECT_EQ(got, it->second) << "flow " << id;
     }
-    // The scheduler must not even notice the storage difference: identical
-    // solve/visit/rerate/heap counters, not merely identical outputs.
-    EXPECT_EQ(lazy.scheduler.reshares, eager.scheduler.reshares);
-    EXPECT_EQ(lazy.scheduler.solves, eager.scheduler.solves);
-    EXPECT_EQ(lazy.scheduler.links_touched, eager.scheduler.links_touched);
-    EXPECT_EQ(lazy.scheduler.flows_visited, eager.scheduler.flows_visited);
-    EXPECT_EQ(lazy.scheduler.flows_rerated, eager.scheduler.flows_rerated);
-    EXPECT_EQ(lazy.scheduler.heap_ops, eager.scheduler.heap_ops);
-    // Arena behaviour differs only where it should: same slot recycling,
-    // compactions only on the eager side.
-    EXPECT_EQ(lazy.arena.slots, eager.arena.slots);
-    EXPECT_EQ(lazy.arena.peak_live, eager.arena.peak_live);
-    EXPECT_EQ(lazy.arena.slot_reuses, eager.arena.slot_reuses);
-    EXPECT_EQ(lazy.arena.live, 0u);
-    EXPECT_EQ(eager.arena.live, 0u);
-    EXPECT_EQ(lazy.arena.path_pool_compactions, 0u)
-        << "default threshold should not compact a pool this small";
-    if (eager.arena.path_pool_compactions > 0) ++seeds_with_compactions;
-    if (eager.arena.slot_reuses > 0) ++seeds_with_reuse;
+    // Both modes recycle the same slots and bundle ids: the arena sees the
+    // same event sequence.
+    EXPECT_EQ(incremental.arena.slots, reference.arena.slots);
+    EXPECT_EQ(incremental.arena.peak_live, reference.arena.peak_live);
+    EXPECT_EQ(incremental.arena.slot_reuses, reference.arena.slot_reuses);
+    EXPECT_EQ(incremental.arena.bundles, reference.arena.bundles);
+    EXPECT_EQ(incremental.arena.live, 0u);
+    EXPECT_EQ(incremental.arena.live_bundles, 0u);
+    if (incremental.arena.slot_reuses > 0) ++seeds_with_reuse;
+    if (incremental.reused_bundle) ++seeds_with_bundle_reuse;
   }
   // The sweep must actually exercise the machinery it claims to test.
-  // Reuse-in-place absorbs most reallocations (same fabric, similar path
-  // lengths), so only a fraction of seeds ever trip the compaction
-  // condition even at the eager threshold — demand a floor, not a rate.
   EXPECT_GE(seeds_with_reuse, 45u);
-  EXPECT_GE(seeds_with_compactions, 10u);
+  EXPECT_GE(seeds_with_bundle_reuse, 45u);
 }
 
 // Path bundles: uncapped flows on one path share a bundle that grows as
